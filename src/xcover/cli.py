@@ -14,8 +14,9 @@ schemas are stable:
   with status one of ok | TO | error
 
 Exit status 0 on success, 2 on usage, I/O, or parse errors.  Bench
-timeouts are reported as TO rows, not failures.  The default thread
-count comes from $XCOVER_THREADS when set.
+timeouts are reported as TO rows, and an instance an engine refuses
+(the oracle's row limit) as an error row; neither stops the run.  The
+default thread count comes from $XCOVER_THREADS when set.
 """
 
 from __future__ import annotations
@@ -132,13 +133,16 @@ def cmd_bench(args) -> int:
         writer = csv.writer(sink)
         writer.writerow(["instance", "engine", "threads", "count", "nodes",
                          "subs", "time_ms", "status"])
+
+        def failed(name, eng, status):
+            writer.writerow([name, eng, args.threads, "", "", "", "", status])
+
         for path in paths:
             try:
                 name, inst = _load_instance(str(path))
             except (ParseError, OSError) as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
-                writer.writerow([path.name, "", args.threads, "", "", "", "",
-                                 "error"])
+                failed(path.name, "", "error")
                 continue
             for eng in engines:
                 cfg = SolveConfig(engine=eng, threads=args.threads,
@@ -146,13 +150,11 @@ def cmd_bench(args) -> int:
                 try:
                     rep = solve(inst, cfg)
                 except SolveTimeout:
-                    writer.writerow([name, eng, args.threads, "", "", "", "",
-                                     "TO"])
+                    failed(name, eng, "TO")
                     continue
-                except RuntimeError as exc:
+                except (RuntimeError, ValueError) as exc:
                     print(f"error: {path} [{eng}]: {exc}", file=sys.stderr)
-                    writer.writerow([name, eng, args.threads, "", "", "", "",
-                                     "error"])
+                    failed(name, eng, "error")
                     continue
                 writer.writerow([name, eng, rep.threads, str(rep.count),
                                  rep.nodes, rep.stats.subs,

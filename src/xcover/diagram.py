@@ -246,39 +246,22 @@ class NodeStore:
     # -- queries ------------------------------------------------------------
 
     def count(self, n: NodeId) -> int:
-        """Number of sets in the family of ``n`` (exact bignum)."""
+        """Number of sets in the family of ``n`` (exact bignum).
+
+        One pass in ascending id order: interning is append-only, so
+        every child has a smaller id than its parent."""
         memo = {BOTTOM: 0, TOP: 1}
-        stack = [n]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
+        for m in sorted(self.reachable(n)):
             e = self._entries[m]
             if e[0] == _L:
                 memo[m] = 1
-                stack.pop()
             elif e[0] == _D:
-                ready = True
-                for ch in (e[2], e[3]):
-                    if ch not in memo:
-                        stack.append(ch)
-                        ready = False
-                if ready:
-                    memo[m] = memo[e[2]] + memo[e[3]]
-                    stack.pop()
-            else:
-                ready = True
+                memo[m] = memo[e[2]] + memo[e[3]]
+            elif e[0] == _X:
+                p = 1
                 for ch in e[1]:
-                    if ch not in memo:
-                        stack.append(ch)
-                        ready = False
-                if ready:
-                    p = 1
-                    for ch in e[1]:
-                        p *= memo[ch]
-                    memo[m] = p
-                    stack.pop()
+                    p *= memo[ch]
+                memo[m] = p
         return memo[n]
 
     def reachable(self, n: NodeId) -> set:
@@ -332,35 +315,12 @@ class NodeStore:
     def validate(self, n: NodeId):
         """Check structural invariants under ``n``; raises on violation."""
         for m in self.reachable(n):
-            e = self._entries[m]
-            if e[0] == _D:
-                _, v, pos, neg = e
-                if pos == BOTTOM:
-                    raise AssertionError(f"node {m}: positive branch is BOTTOM")
-                below = self._vars[pos] | self._vars[neg]
-                if below >> v & 1:
-                    raise AssertionError(f"node {m}: {v} occurs in a branch")
-                if self._vars[m] != below | 1 << v:
-                    raise AssertionError(f"node {m}: stale variable set")
-            elif e[0] == _X:
-                ch = e[1]
-                if len(ch) < 2:
-                    raise AssertionError(f"node {m}: trivial decomposable")
-                vs = 0
-                for c in ch:
-                    if c in (BOTTOM, TOP) or self._entries[c][0] == _X:
-                        raise AssertionError(f"node {m}: non-canonical child {c}")
-                    if vs & self._vars[c]:
-                        raise AssertionError(f"node {m}: children share variables")
-                    vs |= self._vars[c]
-                if self._vars[m] != vs:
-                    raise AssertionError(f"node {m}: stale variable set")
+            self._check_node(m)
 
     def check_canonical(self):
         """Scan the whole store (not just one root) for canonicity:
-        unique table bijective, no decision with a BOTTOM positive
-        branch, decision variables absent from branches, decomposable
-        nodes well formed.  Raises AssertionError on violation."""
+        unique table bijective and every node well formed (see
+        ``_check_node``).  Raises AssertionError on violation."""
         if len(self._unique) != len(self._entries):
             raise AssertionError("unique table out of sync with arena")
         seen = set()
@@ -370,23 +330,41 @@ class NodeStore:
             seen.add(e)
             if self._unique.get(e) != m:
                 raise AssertionError(f"unique table misses node {m}")
-            if e[0] == _D:
-                _, v, pos, neg = e
-                if pos == BOTTOM:
-                    raise AssertionError(f"node {m}: positive branch is BOTTOM")
-                if (self._vars[pos] | self._vars[neg]) >> v & 1:
-                    raise AssertionError(f"node {m}: {v} occurs in a branch")
-            elif e[0] == _X:
-                ch = e[1]
-                if len(ch) < 2 or list(ch) != sorted(ch):
-                    raise AssertionError(f"node {m}: malformed decomposable")
-                vs = 0
-                for c in ch:
-                    if c in (BOTTOM, TOP) or self._entries[c][0] == _X:
-                        raise AssertionError(f"node {m}: non-canonical child {c}")
-                    if vs & self._vars[c]:
-                        raise AssertionError(f"node {m}: children share variables")
-                    vs |= self._vars[c]
+            self._check_node(m)
+
+    def _check_node(self, m: NodeId):
+        """Node ``m``'s invariants: children have smaller ids; a decision
+        has a non-BOTTOM positive branch and its variable occurs in
+        neither branch; a decomposable node has >= 2 sorted children,
+        none terminal or decomposable, on pairwise disjoint variables;
+        the variable set is the union of what lies below."""
+        e = self._entries[m]
+        if e[0] == _D:
+            _, v, pos, neg = e
+            if pos == BOTTOM:
+                raise AssertionError(f"node {m}: positive branch is BOTTOM")
+            if pos >= m or neg >= m:
+                raise AssertionError(f"node {m}: child id not smaller")
+            below = self._vars[pos] | self._vars[neg]
+            if below >> v & 1:
+                raise AssertionError(f"node {m}: {v} occurs in a branch")
+            if self._vars[m] != below | 1 << v:
+                raise AssertionError(f"node {m}: stale variable set")
+        elif e[0] == _X:
+            ch = e[1]
+            if len(ch) < 2 or list(ch) != sorted(ch):
+                raise AssertionError(f"node {m}: malformed decomposable")
+            if ch[-1] >= m:
+                raise AssertionError(f"node {m}: child id not smaller")
+            vs = 0
+            for c in ch:
+                if c in (BOTTOM, TOP) or self._entries[c][0] == _X:
+                    raise AssertionError(f"node {m}: non-canonical child {c}")
+                if vs & self._vars[c]:
+                    raise AssertionError(f"node {m}: children share variables")
+                vs |= self._vars[c]
+            if self._vars[m] != vs:
+                raise AssertionError(f"node {m}: stale variable set")
 
     # -- serialization ------------------------------------------------------
 

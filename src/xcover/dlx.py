@@ -212,32 +212,14 @@ class DlxMatrix:
 
     def cover_collect(self, c: int) -> list:
         """Like cover, returning the removed row ids in down-link order."""
-        left, right, up, down = self.left, self.right, self.up, self.down
-        head, size = self.head, self.size
-        h = self.header_of[c]
-        left[right[h]] = left[h]
-        right[left[h]] = right[h]
-        self.live_cols -= 1
-        self.live_rows -= size[h]
-        self.live_col_mask &= ~(1 << c)
-        self._cover_stack.append(c)
-        removed = []
-        i = down[h]
-        while i != h:
-            removed.append(self.row_of[i])
-            j = right[i]
-            while j != i:
-                up[down[j]] = up[j]
-                down[up[j]] = down[j]
-                size[head[j]] -= 1
-                j = right[j]
-            i = down[i]
-        return removed
+        rows = list(self.interacting_rows(c))
+        self.cover(c)
+        return rows
 
     def uncover(self, c: int):
         """Exact inverse of cover; must mirror cover order (LIFO)."""
-        assert self._cover_stack and self._cover_stack[-1] == c, \
-            f"uncover({c}) out of order"
+        if not self._cover_stack or self._cover_stack[-1] != c:
+            raise AssertionError(f"uncover({c}) out of order")
         self._cover_stack.pop()
         left, right, up, down = self.left, self.right, self.up, self.down
         head, size = self.head, self.size

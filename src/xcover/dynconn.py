@@ -268,7 +268,8 @@ class EulerForest:
         _update(pivot)
         # drop the old head occurrence from the left part
         old_head = _leftmost(left)
-        assert old_head is head and old_head.left is None
+        if old_head is not head or old_head.left is not None:
+            raise AssertionError("old head occurrence not leftmost")
         rest = old_head.right
         if rest is not None:
             rest.parent = None

@@ -20,9 +20,10 @@ nodes:
                the decomposable node stays (the worked example's root
                is still the join of its two components).
 * ``dyndxd``   is dxd with the components maintained incrementally by a
-               dynconn.ComponentSet instead of BFS: every cover batch
-               removes its rows (and their incident edges) from the
-               structure, every uncover batch restores them.
+               dynconn.ComponentSet instead of BFS: inside the same
+               branch loop, covering a column removes that column's rows
+               (and their incident edges) from the structure, and
+               uncovering it restores them.
 
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
@@ -64,7 +65,6 @@ class SolveConfig:
     threads: int = 1
     spawn_threshold: int = 8    # min component rows to offload to a worker
     timeout_s: float | None = None
-    seed: int | None = None     # unused by the engines; generator plumbing
 
 
 class SolveStats:
@@ -136,7 +136,7 @@ class _Pool:
 
 class _Ctx:
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
-                 "cfg", "cs", "adj")
+                 "cfg", "cs", "adj", "undo")
 
     def __init__(self, engine, store, cache, stats, pool, deadline, cfg,
                  cs=None, adj=None):
@@ -149,6 +149,7 @@ class _Ctx:
         self.cfg = cfg
         self.cs = cs
         self.adj = adj
+        self.undo = []          # dyndxd: (rows, edges) per covered column
 
     def fork(self, cs):
         return _Ctx(self.engine, self.store, self.cache, self.stats,
@@ -221,24 +222,11 @@ def _row_adjacency(inst) -> dict:
     return adj
 
 
-def _detach(ctx, rows):
-    """Drop covered rows from the component structure; returns the edge
-    batch so the matching _reattach can restore it exactly."""
-    if not rows:
-        return ()
-    cs = ctx.cs
-    edges = set()
-    for r in rows:
-        for s in ctx.adj[r]:
-            if s in cs:
-                edges.add(_edge(r, s))
-    cs.dec_update(rows, edges)
-    return edges
-
-
-def _reattach(ctx, rows, edges):
-    if rows:
-        ctx.cs.inc_update(rows, edges)
+def _component_set(rows, adj) -> ComponentSet:
+    """Components of the row graph ``adj`` restricted to ``rows``."""
+    rows = set(rows)
+    return ComponentSet(rows, {_edge(r, s) for r in rows for s in adj[r]
+                               if s in rows})
 
 
 def _components(m, ctx):
@@ -246,8 +234,8 @@ def _components(m, ctx):
         return bfs_components(m)
     comps = [sorted(c) for c in ctx.cs.partition()
              if min(c) in m.row_first_cell]
-    assert sum(len(c) for c in comps) == m.live_rows, \
-        "component structure out of sync with matrix"
+    if sum(len(c) for c in comps) != m.live_rows:
+        raise AssertionError("component structure out of sync with matrix")
     return comps
 
 
@@ -281,49 +269,52 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
 def _branch(m: DlxMatrix, ctx: _Ctx) -> int:
     """Branch over the rows of a minimum-size column, chaining each
     satisfiable branch into a decision node."""
-    dyn = ctx.cs is not None
-    c = m.select_column()
-    if dyn:
-        rows_c = m.cover_collect(c)
-        edges_c = _detach(ctx, rows_c)
+    if ctx.cs is None:
+        cover, uncover = m.cover, m.uncover
     else:
-        m.cover(c)
+        cover, uncover = _dyn_cover_pair(m, ctx)
+    c = m.select_column()
+    cover(c)
     alpha = BOTTOM
     h = m.header_of[c]
     i = m.down[h]
     while i != h:
-        r = m.row_of[i]
-        removed = []
         j = m.right[i]
         while j != i:
-            cj = m.col_id[m.head[j]]
-            if dyn:
-                removed.extend(m.cover_collect(cj))
-            else:
-                m.cover(cj)
+            cover(m.col_id[m.head[j]])
             j = m.right[j]
-        if dyn:
-            edges_r = _detach(ctx, removed)
         beta = _search(m, ctx)
         if beta != BOTTOM:
-            alpha = ctx.store.mk_decision(r, beta, alpha)
-        if dyn:
-            _reattach(ctx, removed, edges_r)
+            alpha = ctx.store.mk_decision(m.row_of[i], beta, alpha)
         j = m.left[i]
         while j != i:
-            m.uncover(m.col_id[m.head[j]])
+            uncover(m.col_id[m.head[j]])
             j = m.left[j]
         i = m.down[i]
-    if dyn:
-        _reattach(ctx, rows_c, edges_c)
-    m.uncover(c)
+    uncover(c)
     return alpha
 
 
-def _child_component_set(sub: DlxMatrix, adj) -> ComponentSet:
-    rows = set(sub.row_first_cell)
-    edges = {_edge(r, s) for r in rows for s in adj[r] if s in rows}
-    return ComponentSet(rows, edges)
+def _dyn_cover_pair(m: DlxMatrix, ctx: _Ctx):
+    """cover/uncover that also drop each covered column's rows (and
+    their incident edges) from ``ctx.cs`` and restore them exactly,
+    from the batches kept on ``ctx.undo``."""
+    cs, adj, undo = ctx.cs, ctx.adj, ctx.undo
+
+    def cover(c):
+        rows = m.cover_collect(c)
+        edges = {_edge(r, s) for r in rows for s in adj[r] if s in cs}
+        if rows:
+            cs.dec_update(rows, edges)
+        undo.append((rows, edges))
+
+    def uncover(c):
+        rows, edges = undo.pop()
+        if rows:
+            cs.inc_update(rows, edges)
+        m.uncover(c)
+
+    return cover, uncover
 
 
 def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
@@ -341,7 +332,7 @@ def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
 
         def task(sub=sub):
             child = ctx if ctx.cs is None else \
-                ctx.fork(_child_component_set(sub, ctx.adj))
+                ctx.fork(_component_set(sub.row_first_cell, ctx.adj))
             return _search(sub, child)
 
         fut = ctx.pool.try_spawn(task)
@@ -380,8 +371,7 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         cs = adj = None
         if cfg.engine == "dyndxd":
             adj = _row_adjacency(inst)
-            cs = ComponentSet(range(inst.n_rows),
-                              {_edge(r, s) for r in adj for s in adj[r]})
+            cs = _component_set(range(inst.n_rows), adj)
         ctx = _Ctx(cfg.engine, store, {}, stats, pool, deadline, cfg, cs, adj)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4000 + 40 * inst.n_cols))

@@ -4,8 +4,10 @@ import json
 import pytest
 
 from xcover.cli import main
+from xcover.gen import block_diagonal
+from xcover.instance import Instance, serialize_instance
 
-from conftest import DEMO_MATRIX, DEMO_XC
+from conftest import DEMO_MATRIX, DEMO_ROWS, DEMO_XC
 
 JSON_KEYS = {"instance", "engine", "threads", "count", "nodes", "subs",
              "time_ms", "cache_hits", "cache_misses"}
@@ -158,3 +160,22 @@ def test_bench_stdout_and_bad_engine(tmp_path, capsys):
     assert out.startswith("instance,engine,threads")
     assert out.count("\n") == 4  # header + one row per default engine
     assert main(["bench", str(d), "--engines", "warp"]) == 2
+
+
+def test_bench_continues_past_oracle_row_limit(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    demo = Instance.build(["1", "2", "3", "4", "5", "6"], DEMO_ROWS)
+    (d / "a.xc").write_text(DEMO_XC)
+    (d / "b.xc").write_text(serialize_instance(block_diagonal(demo, 5)))
+    (d / "c.xc").write_text(DEMO_XC)
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", str(d), "--engines", "dxz,oracle", "--csv", str(out)])
+    assert rc == 0
+    assert "b.xc [oracle]" in capsys.readouterr().err
+    rows = {(r[0], r[1]): r for r in csv.reader(out.read_text().splitlines())}
+    assert rows["b.xc", "oracle"] == ["b.xc", "oracle", "1", "", "", "", "",
+                                      "error"]
+    assert rows["b.xc", "dxz"][3] == str(4 ** 5)
+    for eng in ("dxz", "oracle"):
+        assert rows["c.xc", eng][3] == "4" and rows["c.xc", eng][-1] == "ok"

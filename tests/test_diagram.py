@@ -262,6 +262,25 @@ def test_check_canonical_catches_corruption():
         s.validate(bad)
 
 
+def test_check_canonical_requires_smaller_child_ids():
+    # count() reads nodes in ascending id order, so a child must precede
+    # its parent; here node 3's positive branch is node 4
+    s = NodeStore()
+    lit = s.mk_literal(0)
+    bad = len(s._entries)
+    key = ("D", 1, bad + 1, lit)
+    s._entries.append(key)
+    s._vars.append(0b111)
+    s._unique[key] = bad
+    s._entries.append(("L", 2))
+    s._vars.append(0b100)
+    s._unique[("L", 2)] = bad + 1
+    with pytest.raises(AssertionError, match="child id not smaller"):
+        s.check_canonical()
+    with pytest.raises(AssertionError, match="child id not smaller"):
+        s.validate(bad)
+
+
 def test_concurrent_interning_is_consistent():
     s = NodeStore()
     fam = [{0, 2}, {1, 3}, {2, 5}, {0, 1, 4}, {3}, {4, 5}, set()]

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import xcover
 from xcover.dlx import DlxMatrix
 
 from conftest import DEMO_ROWS, random_instance
@@ -126,6 +131,24 @@ def test_uncover_out_of_order_asserts():
     m.cover(1)
     with pytest.raises(AssertionError):
         m.uncover(0)
+
+
+def test_uncover_out_of_order_raises_under_optimize():
+    # python -O strips assert statements; the LIFO check must survive it
+    code = ("from xcover.dlx import DlxMatrix\n"
+            "m = DlxMatrix.from_rows([0, 1], [(0, [0]), (1, [1])])\n"
+            "m.cover(0)\n"
+            "m.cover(1)\n"
+            "try:\n"
+            "    m.uncover(0)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    src = str(Path(xcover.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 @given(st.integers(0, 10_000))
