@@ -23,15 +23,14 @@ Two side tables make the tour operations O(1) to locate:
 
 ComponentSet layers component bookkeeping on top: each component is its
 spanning tree plus the hash set of its non-tree edges.  Batched edge
-and vertex deletion (dec_update) cuts tree edges and scans the smaller
-side's non-tree candidates for a replacement, splitting the component
-when none crosses; batched insertion (inc_update) links across
-components and files intra-component edges as non-tree.
+and vertex deletion (dec_update) drops the batch's non-tree edges, then
+cuts its tree edges and scans the smaller side's non-tree candidates for
+a replacement, splitting the component when none crosses; batched
+insertion (inc_update) links across components and files
+intra-component edges as non-tree.  Construction is one insert batch.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class DynConnError(Exception):
@@ -397,54 +396,11 @@ class ComponentSet:
         self._comp_of = {}
         self._comps = set()
         vs = set(vertices)
-        es = set()
-        adj = {v: [] for v in vs}
-        for a, b in edges:
-            e = _edge(a, b)
-            if a not in vs or b not in vs:
+        es = {_edge(a, b) for a, b in edges}
+        for e in es:
+            if e[0] not in vs or e[1] not in vs:
                 raise DynConnError(f"edge {e} endpoint not a vertex")
-            if e in es:
-                continue
-            es.add(e)
-            adj[a].append(b)
-            adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        seen = set()
-        for start in sorted(vs):
-            if start in seen:
-                continue
-            comp_vs, tree_adj, tree_edges = self._span(start, adj)
-            seen |= comp_vs
-            non_tree = {e for e in es
-                        if e[0] in comp_vs and e not in tree_edges}
-            self.forest.build_tree(start, tree_adj)
-            comp = Component(comp_vs, non_tree)
-            self._comps.add(comp)
-            for w in comp_vs:
-                self._comp_of[w] = comp
-
-    @staticmethod
-    def _span(start, adj):
-        """BFS spanning tree from start; returns (vertices, tree adjacency,
-        tree edge set)."""
-        parent = {start: None}
-        order = deque([start])
-        tree_adj = {start: []}
-        tree_edges = set()
-        while order:
-            v = order.popleft()
-            for w in adj[v]:
-                if w in parent:
-                    continue
-                parent[w] = v
-                tree_adj[v].append(w)
-                tree_adj.setdefault(w, []).append(v)
-                tree_edges.add(_edge(v, w))
-                order.append(w)
-        for v in tree_adj:
-            tree_adj[v].sort()
-        return set(parent), tree_adj, tree_edges
+        self.inc_update(vs, es)
 
     def __contains__(self, v) -> bool:
         return v in self._comp_of
@@ -470,28 +426,32 @@ class ComponentSet:
         """Delete a batch of edges, then a batch of (now isolated) vertices.
 
         ``removed_edges`` must include every live edge incident to a
-        removed vertex.  Deleting a non-tree edge only shrinks the
-        candidate set; deleting a tree edge cuts the tour and scans the
-        smaller side's membership against the component's non-tree edges
-        for a replacement to relink, splitting the component when none
-        crosses.
+        removed vertex.  The batch's non-tree edges leave the candidate
+        sets first, so no edge of the batch is ever relinked.  Each tree
+        edge is then cut, and the smaller side's membership is checked
+        against the component's non-tree edges for a replacement to
+        relink, splitting the component when none crosses.
         """
-        for e in sorted({_edge(a, b) for a, b in removed_edges}):
+        cuts = []
+        for e in {_edge(a, b) for a, b in removed_edges}:
             a, b = e
             comp = self._comp_of.get(a)
             if comp is None or self._comp_of.get(b) is not comp:
                 raise DynConnError(f"edge {e} not live")
             if e in comp.non_tree:
                 comp.non_tree.discard(e)
-                continue
-            if not self.forest.tree_edge(a, b):
+            elif self.forest.tree_edge(a, b):
+                cuts.append(e)
+            else:
                 raise DynConnError(f"edge {e} not live")
+        for a, b in sorted(cuts):
+            comp = self._comp_of[a]
             root_a, root_b = self.forest.cut(a, b)
             small = root_a if root_a.size <= root_b.size else root_b
             side = {n.value for n in _tour_nodes(small)}
             repl = None
             inside = set()
-            for f in sorted(comp.non_tree):
+            for f in comp.non_tree:
                 p, q = f
                 pin = p in side
                 if pin != (q in side):

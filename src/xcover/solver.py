@@ -23,7 +23,8 @@ nodes:
                dynconn.ComponentSet instead of BFS: inside the same
                branch loop, covering a column removes that column's rows
                (and their incident edges) from the structure, and
-               uncovering it restores them.
+               uncovering it restores them.  Every component, inline
+               or on a worker, searches with a ComponentSet of its own.
 
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
@@ -34,8 +35,8 @@ store.
 ``solve`` is the one entry point; ``oracle`` is accepted as a fourth
 engine name and dispatches to the brute-force enumerator for
 ground-truth runs.  Worker threads are spawned only at decomposition
-points, each owning a freshly built submatrix (and, for dyndxd, its own
-ComponentSet), with non-blocking token acquisition so no task ever
+points, each owning a freshly built submatrix and ComponentSet like any
+inline component, with non-blocking token acquisition so no task ever
 waits on the pool.
 """
 
@@ -232,16 +233,26 @@ def _component_set(rows, adj) -> ComponentSet:
 def _components(m, ctx):
     if ctx.cs is None:
         return bfs_components(m)
-    comps = [sorted(c) for c in ctx.cs.partition()
-             if min(c) in m.row_first_cell]
-    if sum(len(c) for c in comps) != m.live_rows:
+    if len(ctx.cs) != m.live_rows:
         raise AssertionError("component structure out of sync with matrix")
-    return comps
+    return [sorted(c) for c in ctx.cs.partition()]
+
+
+def _child(sub: DlxMatrix, ctx: _Ctx) -> _Ctx:
+    """The context a component is searched in: dyndxd gives each
+    component a ComponentSet of its own rows, dxd and dxz share ``ctx``."""
+    if ctx.cs is None:
+        return ctx
+    return ctx.fork(_component_set(sub.row_first_cell, ctx.adj))
+
+
+def _check_deadline(ctx: _Ctx):
+    if ctx.deadline is not None and time.monotonic() > ctx.deadline:
+        raise SolveTimeout
 
 
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:
-    if ctx.deadline is not None and time.monotonic() > ctx.deadline:
-        raise SolveTimeout
+    _check_deadline(ctx)
     if m.is_empty():
         return TOP
     key = m.live_col_mask
@@ -302,6 +313,7 @@ def _dyn_cover_pair(m: DlxMatrix, ctx: _Ctx):
     cs, adj, undo = ctx.cs, ctx.adj, ctx.undo
 
     def cover(c):
+        _check_deadline(ctx)
         rows = m.cover_collect(c)
         edges = {_edge(r, s) for r in rows for s in adj[r] if s in cs}
         if rows:
@@ -331,9 +343,7 @@ def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
         sub = subs[i]
 
         def task(sub=sub):
-            child = ctx if ctx.cs is None else \
-                ctx.fork(_component_set(sub.row_first_cell, ctx.adj))
-            return _search(sub, child)
+            return _search(sub, _child(sub, ctx))
 
         fut = ctx.pool.try_spawn(task)
         if fut is not None:
@@ -342,7 +352,7 @@ def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
     pending = {i for i, _ in futures}
     for i, sub in enumerate(subs):
         if i not in pending:
-            children[i] = _search(sub, ctx)
+            children[i] = _search(sub, _child(sub, ctx))
     for i, fut in futures:
         children[i] = fut.result()
     return ctx.store.mk_join(children)

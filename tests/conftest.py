@@ -71,3 +71,54 @@ def random_instance(rng: random.Random, max_rows=12, max_cols=10,
             cols = [rng.randrange(n_cols)]
         rows.append((f"R{i}", cols))
     return Instance.build([f"C{c}" for c in range(n_cols)], rows)
+
+
+# The 12 free pentominoes; placements on a height x width board are the
+# rows of a classic exact-cover instance (3 x 20 has 8 covers).
+PENTOMINOES = {
+    "F": (".##", "##.", ".#."),
+    "I": ("#####",),
+    "L": ("#...", "####"),
+    "N": ("##..", ".###"),
+    "P": ("##", "##", "#."),
+    "T": ("###", ".#.", ".#."),
+    "U": ("#.#", "###"),
+    "V": ("#..", "#..", "###"),
+    "W": ("#..", "##.", ".##"),
+    "X": (".#.", "###", ".#."),
+    "Y": (".#..", "####"),
+    "Z": ("##.", ".#.", ".##"),
+}
+
+
+def _normalize(cells):
+    r0 = min(r for r, _ in cells)
+    c0 = min(c for _, c in cells)
+    return tuple(sorted((r - r0, c - c0) for r, c in cells))
+
+
+def _orientations(picture):
+    cells = [(r, c) for r, line in enumerate(picture)
+             for c, ch in enumerate(line) if ch == "#"]
+    out = set()
+    for _ in range(4):
+        cells = [(c, -r) for r, c in cells]
+        out.add(_normalize(cells))
+        out.add(_normalize([(r, -c) for r, c in cells]))
+    return sorted(out)
+
+
+def pentomino_instance(height=3, width=20) -> Instance:
+    """One column per piece and per board cell; one row per placement."""
+    columns = list(PENTOMINOES) + [f"r{r}c{c}" for r in range(height)
+                                   for c in range(width)]
+    rows = []
+    for p, (piece, picture) in enumerate(PENTOMINOES.items()):
+        for shape in _orientations(picture):
+            for dr in range(height):
+                for dc in range(width):
+                    cells = [(r + dr, c + dc) for r, c in shape]
+                    if all(r < height and c < width for r, c in cells):
+                        cols = [p] + [12 + r * width + c for r, c in cells]
+                        rows.append((f"{piece}{len(rows)}", cols))
+    return Instance.build(columns, rows)

@@ -209,6 +209,25 @@ def test_dec_update_split():
     cs.validate()
 
 
+def test_dec_update_never_links_an_edge_of_its_batch():
+    # cutting tree edge (2,4) alone would relink chord (3,4); with (3,4)
+    # in the same batch the chord is dropped first and the path splits
+    cs = ComponentSet(PATH_CHORD_VS, PATH_CHORD_ES)
+    linked = []
+    link = cs.forest.link
+
+    def recording_link(u, v):
+        linked.append(_edge(u, v))
+        return link(u, v)
+
+    cs.forest.link = recording_link
+    batch = {(2, 4), (3, 4)}
+    cs.dec_update((), batch)
+    assert not batch & set(linked)
+    assert cs.partition() == [{1, 2, 3}, {4, 5}]
+    cs.validate()
+
+
 def test_dec_update_non_tree_only():
     cs = ComponentSet(PATH_CHORD_VS, PATH_CHORD_ES)
     cs.dec_update((), [(3, 4)])

@@ -1,16 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import xcover
+from xcover.diagram import NodeStore
 from xcover.dlx import DlxMatrix
 from xcover.gen import block_diagonal
-from xcover.instance import Instance
+from xcover.instance import Instance, serialize_instance
 from xcover.oracle import enumerate_covers
-from xcover.solver import (ENGINES, SolveConfig, SolveTimeout,
+from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
+                           _component_set, _Ctx, _row_adjacency, _search,
                            bfs_components, decompose_matrix, solve)
 
-from conftest import DEMO_COVERS, random_instance
+from conftest import DEMO_COVERS, pentomino_instance, random_instance
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
 
@@ -122,6 +129,53 @@ def test_timeout_with_threads(demo):
     big = block_diagonal(demo, 6)
     with pytest.raises(SolveTimeout):
         run(big, "dyndxd", threads=4, spawn_threshold=1, timeout_s=1e-9)
+
+
+# Solves in a child process, so a solve that ignores its deadline is
+# killed instead of stalling the suite.
+TIMEOUT_CHILD = """\
+import sys, time
+from xcover.instance import parse_instance
+from xcover.solver import SolveConfig, SolveTimeout, solve
+inst = parse_instance(sys.stdin.read())
+t0 = time.monotonic()
+try:
+    solve(inst, SolveConfig(engine="dyndxd", timeout_s=2))
+except SolveTimeout:
+    print("SolveTimeout", time.monotonic() - t0)
+"""
+
+
+def test_dyndxd_timeout_inside_a_branch():
+    # on pentomino 3x20 a single branch runs dynconn batches for seconds
+    # without re-entering _search; the deadline must still end the solve
+    src = str(Path(xcover.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    try:
+        out = subprocess.run([sys.executable, "-c", TIMEOUT_CHILD],
+                             input=serialize_instance(pentomino_instance()),
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("dyndxd with timeout_s=2 still running after 60 s")
+    assert out.returncode == 0, out.stderr
+    verdict, seconds = out.stdout.split()
+    assert verdict == "SolveTimeout"
+    assert float(seconds) < 15
+
+
+def test_dyn_components_check_sync_with_matrix(demo):
+    # the ComponentSet must hold exactly the matrix's live rows; an extra
+    # isolated row 6 must not be hidden from the check
+    adj = _row_adjacency(demo)
+    adj[6] = set()
+    cs = _component_set(range(7), adj)
+    ctx = _Ctx("dyndxd", NodeStore(), {}, SolveStats(), None, None,
+               SolveConfig(engine="dyndxd"), cs, adj)
+    with pytest.raises(AssertionError):
+        _search(DlxMatrix.from_instance(demo), ctx)
 
 
 def test_block_diagonal_product_counts(demo):
