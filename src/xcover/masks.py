@@ -1,0 +1,111 @@
+"""Row/column bitmask kernel for the dxd search.
+
+A subproblem is a pair of ints ``(cols, rows)``: bit c of ``cols`` is
+set while column c is still to be covered, bit r of ``rows`` while row r
+can still be chosen.  Three tables, built once per solve and only read
+afterwards (so worker threads share them), answer every question the
+search asks:
+
+* ``col_rows[c]``  the rows with a 1 in column c;
+* ``row_cols[r]``  the columns of row r;
+* ``conflict[r]``  the rows sharing a column with r, r included.
+
+Choosing row r turns ``(cols, rows)`` into
+``(cols & ~row_cols[r], rows & ~conflict[r])``.  The parent pair is left
+as it was, so nothing is ever undone, and a component of the live rows
+is a pair of masks too, so no submatrix is rebuilt.  A live row's
+columns are always live, and ``cols`` doubles as the cache key, exactly
+as ``DlxMatrix.live_col_mask`` does for the dancing-links kernel.
+Row and column ids are the instance's global ids.
+"""
+
+from __future__ import annotations
+
+
+class MaskTables:
+    __slots__ = ("col_rows", "row_cols", "conflict")
+
+    def __init__(self, n_cols: int, rows):
+        """``rows`` yields ``(row_id, column_ids)`` pairs; every column id
+        is below ``n_cols``.  Rows that are not given stay empty."""
+        rows = list(rows)
+        n_rows = max((r for r, _ in rows), default=-1) + 1
+        col_rows = [0] * n_cols
+        row_cols = [0] * n_rows
+        for r, cs in rows:
+            bit = 1 << r
+            mask = 0
+            for c in cs:
+                col_rows[c] |= bit
+                mask |= 1 << c
+            row_cols[r] = mask
+        conflict = [0] * n_rows
+        for r, cs in rows:
+            reach = 0
+            for c in cs:
+                reach |= col_rows[c]
+            conflict[r] = reach
+        self.col_rows = col_rows
+        self.row_cols = row_cols
+        self.conflict = conflict
+
+    @classmethod
+    def from_instance(cls, inst) -> "MaskTables":
+        return cls(inst.n_cols, enumerate(cols for _, cols in inst.rows))
+
+    def single_full_row(self, cols: int, rows: int):
+        """The row id if ``rows`` holds exactly one row and it covers
+        every column of ``cols``, else None."""
+        if rows and not rows & (rows - 1):
+            r = rows.bit_length() - 1
+            if self.row_cols[r] == cols:
+                return r
+        return None
+
+    def select_column(self, cols: int, rows: int) -> int:
+        """Column of ``cols`` with the fewest rows in ``rows``; ties break
+        to the smallest column id."""
+        if not cols:
+            raise ValueError("select_column on empty column set")
+        col_rows = self.col_rows
+        best = best_n = -1
+        while cols:
+            low = cols & -cols
+            c = low.bit_length() - 1
+            n = (col_rows[c] & rows).bit_count()
+            if best_n < 0 or n < best_n:
+                best, best_n = c, n
+                if not n:
+                    break
+            cols ^= low
+        return best
+
+    def components(self, rows: int) -> list:
+        """Connected components of ``rows`` (rows adjacent iff they share a
+        column) as row masks, ordered by smallest row id.  A flood fill:
+        each reached row adds its conflict mask, restricted to the rows
+        not reached yet; it stops as soon as every row is reached."""
+        conflict = self.conflict
+        comps = []
+        while rows:
+            todo = rows & -rows
+            unseen = rows ^ todo
+            while todo and unseen:
+                low = todo & -todo
+                todo ^= low
+                grow = conflict[low.bit_length() - 1] & unseen
+                unseen ^= grow
+                todo |= grow
+            comps.append(rows ^ unseen)
+            rows = unseen
+        return comps
+
+    def columns_of(self, rows: int) -> int:
+        """The columns of the rows in ``rows``."""
+        row_cols = self.row_cols
+        cols = 0
+        while rows:
+            low = rows & -rows
+            cols |= row_cols[low.bit_length() - 1]
+            rows ^= low
+        return cols

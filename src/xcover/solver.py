@@ -1,17 +1,20 @@
 """Exact-cover compilation engines.
 
-Three engines share one recursive search over a dancing-links matrix,
-memoized on the live-column bitset and emitting hash-consed diagram
-nodes:
+Three engines run one memoized depth-first search, keyed on the
+live-column bitset and emitting hash-consed diagram nodes.  dxz and
+dyndxd search a dancing-links matrix (``DlxMatrix``, the reference
+kernel); dxd searches row/column bitmasks (``masks.MaskTables``), where
+a subproblem is a pair of ints and nothing is undone:
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
 * ``dxd``      additionally short-circuits a single row that covers
                everything to a literal, and when the live rows fall
                into >= 2 connected components of the primal graph
-               (rows adjacent iff they share a column, recomputed by
-               BFS), solves the independent submatrices separately and
-               joins them; output is zero-suppressed decision-DNNF.
+               (rows adjacent iff they share a column, found by a flood
+               fill over per-row conflict masks), solves the components
+               separately and joins them; output is zero-suppressed
+               decision-DNNF.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -19,25 +22,29 @@ nodes:
                so a join need not cost more than its chain.  On a tie
                the decomposable node stays (the worked example's root
                is still the join of its two components).
-* ``dyndxd``   is dxd with the components maintained incrementally by a
-               dynconn.ComponentSet instead of BFS: inside the same
-               branch loop, covering a column removes that column's rows
-               (and their incident edges) from the structure, and
-               uncovering it restores them.  Every component, inline
-               or on a worker, searches with a ComponentSet of its own.
+* ``dyndxd``   is dxd on the dancing-links matrix, with the components
+               maintained incrementally by a dynconn.ComponentSet: inside
+               the branch loop, covering a column removes that column's
+               rows (and their incident edges) from the structure, and
+               uncovering it restores them.  Each component is searched
+               in a submatrix of its own (``decompose_matrix``), inline
+               or on a worker, with a ComponentSet of its own.
+
+Both kernels apply the same rules (column choice, row order, literal,
+components in order of their smallest row), so dxd and dyndxd build the
+same diagram with the same cache traffic.  ``bfs_components`` is the
+dancing-links reference for the components.
 
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
-column ids are global even inside decomposed submatrices, which lets
-all components (and all worker threads) share one cache and one node
-store.
+column ids are global even inside components, which lets all components
+(and all worker threads) share one cache and one node store.
 
 ``solve`` is the one entry point; ``oracle`` is accepted as a fourth
 engine name and dispatches to the brute-force enumerator for
 ground-truth runs.  Worker threads are spawned only at decomposition
-points, each owning a freshly built submatrix and ComponentSet like any
-inline component, with non-blocking token acquisition so no task ever
-waits on the pool.
+points, with non-blocking token acquisition so no task ever waits on
+the pool; dxd's workers share the solve's mask tables read-only.
 """
 
 from __future__ import annotations
@@ -47,10 +54,12 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 
 from .diagram import BOTTOM, TOP, NodeStore
 from .dlx import DlxMatrix
 from .dynconn import ComponentSet, _edge
+from .masks import MaskTables
 from .oracle import enumerate_covers
 
 ENGINES = ("dxz", "dxd", "dyndxd", "oracle")
@@ -137,10 +146,10 @@ class _Pool:
 
 class _Ctx:
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
-                 "cfg", "cs", "adj", "undo")
+                 "cfg", "cs", "adj", "undo", "masks")
 
     def __init__(self, engine, store, cache, stats, pool, deadline, cfg,
-                 cs=None, adj=None):
+                 cs=None, adj=None, masks=None):
         self.engine = engine
         self.store = store
         self.cache = cache
@@ -151,6 +160,7 @@ class _Ctx:
         self.cs = cs
         self.adj = adj
         self.undo = []          # dyndxd: (rows, edges) per covered column
+        self.masks = masks      # dxd: the MaskTables of the solve
 
     def fork(self, cs):
         return _Ctx(self.engine, self.store, self.cache, self.stats,
@@ -159,7 +169,9 @@ class _Ctx:
 
 def bfs_components(m: DlxMatrix) -> list:
     """Connected components of m's live rows (rows adjacent iff they share
-    a column), each sorted, ordered by smallest row id."""
+    a column), each sorted, ordered by smallest row id.  No engine calls
+    it: it is the dancing-links reference that ``MaskTables.components``
+    and dyndxd's ``ComponentSet`` are checked against."""
     comps = []
     seen = set()
     done_cols = set()
@@ -231,19 +243,9 @@ def _component_set(rows, adj) -> ComponentSet:
 
 
 def _components(m, ctx):
-    if ctx.cs is None:
-        return bfs_components(m)
     if len(ctx.cs) != m.live_rows:
         raise AssertionError("component structure out of sync with matrix")
     return [sorted(c) for c in ctx.cs.partition()]
-
-
-def _child(sub: DlxMatrix, ctx: _Ctx) -> _Ctx:
-    """The context a component is searched in: dyndxd gives each
-    component a ComponentSet of its own rows, dxd and dxz share ``ctx``."""
-    if ctx.cs is None:
-        return ctx
-    return ctx.fork(_component_set(sub.row_first_cell, ctx.adj))
 
 
 def _check_deadline(ctx: _Ctx):
@@ -252,6 +254,14 @@ def _check_deadline(ctx: _Ctx):
 
 
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:
+    """Compile the live part of ``m``.  dxz and dyndxd search the matrix
+    itself and restore it; dxd reads its live rows into masks and leaves
+    it untouched."""
+    if ctx.engine == "dxd":
+        live = m.live_row_ids()
+        ctx.masks = MaskTables(m.live_col_mask.bit_length(),
+                               ((r, m.row_columns(r)) for r in live))
+        return _mask_search(m.live_col_mask, sum(1 << r for r in live), ctx)
     _check_deadline(ctx)
     if m.is_empty():
         return TOP
@@ -335,27 +345,107 @@ def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
     if sum(s.live_cols for s in subs) != m.live_cols:
         # some live column interacts no live row; nothing can cover it
         return BOTTOM
-    children = [None] * len(subs)
+    return _join([partial(_search_component, sub, ctx) for sub in subs],
+                 [sub.live_rows for sub in subs], ctx)
+
+
+def _search_component(sub: DlxMatrix, ctx: _Ctx) -> int:
+    """dyndxd searches each component with a ComponentSet of its own."""
+    return _search(sub, ctx.fork(_component_set(sub.row_first_cell, ctx.adj)))
+
+
+def _join(searches, sizes, ctx: _Ctx) -> int:
+    """Search each component (a zero-argument callable; ``sizes`` holds
+    its row counts) and join the results.  Every component but the first
+    with at least ``spawn_threshold`` rows goes to a worker if one is
+    free; the rest run inline."""
+    children = [None] * len(searches)
     futures = []
-    for i in range(1, len(subs)):
-        if ctx.pool is None or subs[i].live_rows < ctx.cfg.spawn_threshold:
-            continue
-        sub = subs[i]
-
-        def task(sub=sub):
-            return _search(sub, _child(sub, ctx))
-
-        fut = ctx.pool.try_spawn(task)
-        if fut is not None:
-            futures.append((i, fut))
-            ctx.stats.add_spawned()
+    if ctx.pool is not None:
+        for i in range(1, len(searches)):
+            if sizes[i] < ctx.cfg.spawn_threshold:
+                continue
+            fut = ctx.pool.try_spawn(searches[i])
+            if fut is not None:
+                futures.append((i, fut))
+                ctx.stats.add_spawned()
     pending = {i for i, _ in futures}
-    for i, sub in enumerate(subs):
+    for i, search in enumerate(searches):
         if i not in pending:
-            children[i] = _search(sub, _child(sub, ctx))
+            children[i] = search()
     for i, fut in futures:
         children[i] = fut.result()
     return ctx.store.mk_join(children)
+
+
+def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
+    """dxd on the subproblem ``(cols, rows)`` of ``ctx.masks``: the same
+    rules as ``_search``, with nothing to undo."""
+    _check_deadline(ctx)
+    if not cols:
+        return TOP
+    node = ctx.cache.get(cols)
+    if node is not None:
+        ctx.stats.hit()
+        return node
+    ctx.stats.miss()
+    t = ctx.masks
+    r = t.single_full_row(cols, rows)
+    if r is not None:
+        node = ctx.store.mk_literal(r)
+    else:
+        comps = t.components(rows)
+        if len(comps) >= 2:
+            node = _mask_decomposed(cols, comps, ctx)
+        else:
+            node = _mask_branch(cols, rows, ctx)
+    ctx.cache[cols] = node
+    return node
+
+
+def _mask_branch(cols: int, rows: int, ctx: _Ctx) -> int:
+    """``_branch`` on masks: each child is a new pair of masks."""
+    t = ctx.masks
+    row_cols, conflict = t.row_cols, t.conflict
+    alpha = BOTTOM
+    todo = t.col_rows[t.select_column(cols, rows)] & rows
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        r = low.bit_length() - 1
+        beta = _mask_search(cols & ~row_cols[r], rows & ~conflict[r], ctx)
+        if beta != BOTTOM:
+            alpha = ctx.store.mk_decision(r, beta, alpha)
+    return alpha
+
+
+def _mask_decomposed(cols: int, comps, ctx: _Ctx) -> int:
+    ctx.stats.add_subs(len(comps))
+    sub_cols = [ctx.masks.columns_of(rows) for rows in comps]
+    if sum(c.bit_count() for c in sub_cols) != cols.bit_count():
+        # some live column interacts no live row; nothing can cover it
+        return BOTTOM
+    return _join([partial(_mask_search, c, rows, ctx)
+                  for c, rows in zip(sub_cols, comps)],
+                 [rows.bit_count() for rows in comps], ctx)
+
+
+def _solve_root(inst, ctx: _Ctx) -> int:
+    """dxd searches the instance's masks; dxz and dyndxd search its
+    dancing-links matrix and check that it is restored afterwards."""
+    if ctx.engine == "dxd":
+        ctx.masks = MaskTables.from_instance(inst)
+        return _mask_search((1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1,
+                            ctx)
+    m = DlxMatrix.from_instance(inst)
+    before = m.snapshot()
+    if ctx.engine == "dyndxd":
+        ctx.adj = _row_adjacency(inst)
+        ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
+    root = _search(m, ctx)
+    if m._cover_stack or m.snapshot() != before:
+        raise AssertionError("matrix not restored after solve")
+    return root
 
 
 def solve(inst, config: SolveConfig | None = None) -> SolveReport:
@@ -365,8 +455,11 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         raise ValueError(f"unknown engine {cfg.engine!r}")
     if cfg.threads < 1:
         raise ValueError("threads must be >= 1")
+    if cfg.timeout_s is not None and cfg.timeout_s < 0:
+        raise ValueError("timeout_s must be >= 0")
     t0 = time.perf_counter()
-    deadline = time.monotonic() + cfg.timeout_s if cfg.timeout_s else None
+    deadline = (None if cfg.timeout_s is None
+                else time.monotonic() + cfg.timeout_s)
     stats = SolveStats()
     if cfg.engine == "oracle":
         covers = enumerate_covers(inst, deadline=deadline)
@@ -374,23 +467,15 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
                              count=len(covers), root=None, store=None,
                              stats=stats, time_ms=0.0)
     else:
-        m = DlxMatrix.from_instance(inst)
-        before = m.snapshot()
         store = NodeStore()
         pool = _Pool(cfg.threads - 1) if cfg.threads > 1 else None
-        cs = adj = None
-        if cfg.engine == "dyndxd":
-            adj = _row_adjacency(inst)
-            cs = _component_set(range(inst.n_rows), adj)
-        ctx = _Ctx(cfg.engine, store, {}, stats, pool, deadline, cfg, cs, adj)
+        ctx = _Ctx(cfg.engine, store, {}, stats, pool, deadline, cfg)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4000 + 40 * inst.n_cols))
         try:
-            root = _search(m, ctx)
+            root = _solve_root(inst, ctx)
         finally:
             sys.setrecursionlimit(limit)
-        if m._cover_stack or m.snapshot() != before:
-            raise AssertionError("matrix not restored after solve")
         report = SolveReport(engine=cfg.engine, threads=cfg.threads,
                              count=store.count(root), root=root, store=store,
                              stats=stats, time_ms=0.0,

@@ -125,6 +125,15 @@ def test_timeout_raises(demo, engine):
         run(big, engine, timeout_s=1e-9)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_timeout_raises(demo, engine):
+    # timeout_s=0 is a deadline that has already passed, not "no deadline"
+    with pytest.raises(SolveTimeout):
+        run(demo, engine, timeout_s=0)
+    with pytest.raises(ValueError):
+        run(demo, engine, timeout_s=-1)
+
+
 def test_timeout_with_threads(demo):
     big = block_diagonal(demo, 6)
     with pytest.raises(SolveTimeout):
@@ -184,6 +193,37 @@ def test_block_diagonal_product_counts(demo):
         rep = run(big, engine)
         assert rep.count == 4 ** 10
         assert rep.stats.subs >= 10
+
+
+def test_pentomino_dxd_search_pinned():
+    rep = run(pentomino_instance(), "dxd")
+    assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 8)
+    assert rep.stats.cache_misses == 16933
+
+
+def dxd_dyndxd_agree(inst):
+    # the mask kernel (dxd) against the dancing-links one (dyndxd): same
+    # rules, so the same diagram, decompositions and cache traffic
+    a = run(inst, "dxd")
+    b = run(inst, "dyndxd")
+    assert a.store.dump(a.root) == b.store.dump(b.root)
+    assert (a.stats.subs, a.stats.cache_hits, a.stats.cache_misses) == \
+        (b.stats.subs, b.stats.cache_hits, b.stats.cache_misses)
+
+
+def test_mask_kernel_matches_dlx_on_demo(demo):
+    dxd_dyndxd_agree(demo)
+    dxd_dyndxd_agree(block_diagonal(demo, 5))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_mask_kernel_matches_dlx(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    dxd_dyndxd_agree(inst)
+    dxd_dyndxd_agree(block_diagonal(random_instance(rng, max_rows=6,
+                                                    max_cols=6),
+                                    rng.randint(2, 4)))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
