@@ -1,4 +1,4 @@
-"""Row/column bitmask kernel for the dxd search.
+"""Row/column bitmask kernel for the dxz and dxd searches.
 
 A subproblem is a pair of ints ``(cols, rows)``: bit c of ``cols`` is
 set while column c is still to be covered, bit r of ``rows`` while row r
@@ -17,6 +17,13 @@ is a pair of masks too, so no submatrix is rebuilt.  A live row's
 columns are always live, and ``cols`` doubles as the cache key, exactly
 as ``DlxMatrix.live_col_mask`` does for the dancing-links kernel.
 Row and column ids are the instance's global ids.
+
+dxd searches inside components, whose states are narrow, and chooses
+its column with ``MaskTables.select_column``, a popcount per live
+column.  dxz's states span every live column, so it keeps the column
+sizes of its current state in a ``ColumnCounts`` instead: mutable,
+owned by one search, and recounted along each edge only where the
+chosen row can have changed them.
 """
 
 from __future__ import annotations
@@ -109,3 +116,83 @@ class MaskTables:
             cols |= row_cols[low.bit_length() - 1]
             rows ^= low
         return cols
+
+
+class ColumnCounts:
+    """The live-row count of every live column of one search's current
+    state, bucketed by count so that the smallest is found without a
+    scan.
+
+    * ``size[c]``    the live rows of column c;
+    * ``bucket[k]``  a mask of the columns with k live rows;
+    * ``reach[r]``   the columns of the rows in ``conflict[r]``: the only
+                     columns whose count can change when r is chosen.
+
+    Counts are exact for the columns of the current state; a column
+    outside it may hold a stale count, which ``select`` masks out.
+    ``enter`` moves the counts to a child, ``leave`` moves them back, in
+    LIFO order, exactly as they were.
+    """
+
+    __slots__ = ("col_rows", "size", "bucket", "reach")
+
+    def __init__(self, tables: MaskTables, rows: int):
+        """Counts of every column of ``tables`` against the live ``rows``."""
+        col_rows, row_cols = tables.col_rows, tables.row_cols
+        size = [(m & rows).bit_count() for m in col_rows]
+        bucket = [0] * (max(size, default=0) + 1)
+        for c, n in enumerate(size):
+            bucket[n] |= 1 << c
+        # span[c]: the columns of the rows of column c; reach[r] is then
+        # the union of span over r's columns, O(cells) for both passes
+        span = [tables.columns_of(m) for m in col_rows]
+        reach = [0] * len(row_cols)
+        for r, m in enumerate(row_cols):
+            acc = 0
+            while m:
+                low = m & -m
+                acc |= span[low.bit_length() - 1]
+                m ^= low
+            reach[r] = acc
+        self.col_rows = col_rows
+        self.size = size
+        self.bucket = bucket
+        self.reach = reach
+
+    def select(self, cols: int) -> int:
+        """Column of ``cols`` with the fewest live rows; ties break to the
+        smallest column id, as ``MaskTables.select_column`` does."""
+        for b in self.bucket:
+            b &= cols
+            if b:
+                return (b & -b).bit_length() - 1
+        raise ValueError("select on empty column set")
+
+    def enter(self, r: int, cols: int, rows: int) -> list:
+        """Move to ``(cols, rows)``, the child reached by choosing row r;
+        returns the log that ``leave`` undoes, one ``(c, old, new)`` per
+        changed count."""
+        col_rows, size, bucket = self.col_rows, self.size, self.bucket
+        log = []
+        todo = self.reach[r] & cols
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
+            new = (col_rows[c] & rows).bit_count()
+            old = size[c]
+            if new != old:
+                size[c] = new
+                bucket[old] ^= low
+                bucket[new] |= low
+                log.append((c, old, new))
+        return log
+
+    def leave(self, log: list):
+        """Undo ``enter``'s log: back to the parent's counts."""
+        size, bucket = self.size, self.bucket
+        for c, old, new in log:
+            low = 1 << c
+            size[c] = old
+            bucket[new] ^= low
+            bucket[old] |= low

@@ -1,13 +1,15 @@
 """Exact-cover compilation engines.
 
 Three engines run one memoized depth-first search, keyed on the
-live-column bitset and emitting hash-consed diagram nodes.  dxz and
-dyndxd search a dancing-links matrix (``DlxMatrix``, the reference
-kernel); dxd searches row/column bitmasks (``masks.MaskTables``), where
-a subproblem is a pair of ints and nothing is undone:
+live-column bitset and emitting hash-consed diagram nodes.  dxz and dxd
+search row/column bitmasks (``masks.MaskTables``), where a subproblem is
+a pair of ints and nothing is undone; dyndxd searches a dancing-links
+matrix (``DlxMatrix``, the reference kernel):
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
+               The column sizes live in a ``masks.ColumnCounts``,
+               recounted along each edge, in place of dxd's popcounts.
 * ``dxd``      additionally short-circuits a single row that covers
                everything to a literal, and when the live rows fall
                into >= 2 connected components of the primal graph
@@ -32,8 +34,9 @@ a subproblem is a pair of ints and nothing is undone:
 
 Both kernels apply the same rules (column choice, row order, literal,
 components in order of their smallest row), so dxd and dyndxd build the
-same diagram with the same cache traffic.  ``bfs_components`` is the
-dancing-links reference for the components.
+same diagram with the same cache traffic, and dxz builds the diagram
+that dancing links would.  ``bfs_components`` is the dancing-links
+reference for the components.
 
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
@@ -59,7 +62,7 @@ from functools import partial
 from .diagram import BOTTOM, TOP, NodeStore
 from .dlx import DlxMatrix
 from .dynconn import ComponentSet, _edge
-from .masks import MaskTables
+from .masks import ColumnCounts, MaskTables
 from .oracle import enumerate_covers
 
 ENGINES = ("dxz", "dxd", "dyndxd", "oracle")
@@ -146,7 +149,7 @@ class _Pool:
 
 class _Ctx:
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
-                 "cfg", "cs", "adj", "undo", "masks")
+                 "cfg", "cs", "adj", "undo", "masks", "counts")
 
     def __init__(self, engine, store, cache, stats, pool, deadline, cfg,
                  cs=None, adj=None, masks=None):
@@ -160,7 +163,8 @@ class _Ctx:
         self.cs = cs
         self.adj = adj
         self.undo = []          # dyndxd: (rows, edges) per covered column
-        self.masks = masks      # dxd: the MaskTables of the solve
+        self.masks = masks      # dxz, dxd: the MaskTables of the solve
+        self.counts = None      # dxz: the ColumnCounts of its one search
 
     def fork(self, cs):
         return _Ctx(self.engine, self.store, self.cache, self.stats,
@@ -254,14 +258,14 @@ def _check_deadline(ctx: _Ctx):
 
 
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:
-    """Compile the live part of ``m``.  dxz and dyndxd search the matrix
-    itself and restore it; dxd reads its live rows into masks and leaves
+    """Compile the live part of ``m``.  dyndxd searches the matrix itself
+    and restores it; dxz and dxd read its live rows into masks and leave
     it untouched."""
-    if ctx.engine == "dxd":
+    if ctx.engine != "dyndxd":
         live = m.live_row_ids()
-        ctx.masks = MaskTables(m.live_col_mask.bit_length(),
-                               ((r, m.row_columns(r)) for r in live))
-        return _mask_search(m.live_col_mask, sum(1 << r for r in live), ctx)
+        return _mask_root(MaskTables(m.live_col_mask.bit_length(),
+                                     ((r, m.row_columns(r)) for r in live)),
+                          m.live_col_mask, sum(1 << r for r in live), ctx)
     _check_deadline(ctx)
     if m.is_empty():
         return TOP
@@ -271,18 +275,15 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
         ctx.stats.hit()
         return node
     ctx.stats.miss()
-    if ctx.engine == "dxz":
-        node = _branch(m, ctx)
+    r = m.single_full_row()
+    if r is not None:
+        node = ctx.store.mk_literal(r)
     else:
-        r = m.single_full_row()
-        if r is not None:
-            node = ctx.store.mk_literal(r)
+        comps = _components(m, ctx)
+        if len(comps) >= 2:
+            node = _decomposed(m, comps, ctx)
         else:
-            comps = _components(m, ctx)
-            if len(comps) >= 2:
-                node = _decomposed(m, comps, ctx)
-            else:
-                node = _branch(m, ctx)
+            node = _branch(m, ctx)
     ctx.cache[key] = node
     return node
 
@@ -290,10 +291,7 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
 def _branch(m: DlxMatrix, ctx: _Ctx) -> int:
     """Branch over the rows of a minimum-size column, chaining each
     satisfiable branch into a decision node."""
-    if ctx.cs is None:
-        cover, uncover = m.cover, m.uncover
-    else:
-        cover, uncover = _dyn_cover_pair(m, ctx)
+    cover, uncover = _dyn_cover_pair(m, ctx)
     c = m.select_column()
     cover(c)
     alpha = BOTTOM
@@ -378,9 +376,20 @@ def _join(searches, sizes, ctx: _Ctx) -> int:
     return ctx.store.mk_join(children)
 
 
-def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
-    """dxd on the subproblem ``(cols, rows)`` of ``ctx.masks``: the same
-    rules as ``_search``, with nothing to undo."""
+def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
+    """Search ``(cols, rows)`` of ``tables``; dxz first counts its
+    columns."""
+    ctx.masks = tables
+    if ctx.engine == "dxz":
+        ctx.counts = ColumnCounts(tables, rows)
+    return _mask_search(cols, rows, ctx)
+
+
+def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
+    """dxz and dxd on the subproblem ``(cols, rows)`` of ``ctx.masks``,
+    reached by choosing row ``via`` (None at a root): the same rules as
+    ``_search``, with nothing to undo but dxz's column counts, which
+    move to this state only when it is searched."""
     _check_deadline(ctx)
     if not cols:
         return TOP
@@ -390,30 +399,38 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
         return node
     ctx.stats.miss()
     t = ctx.masks
-    r = t.single_full_row(cols, rows)
-    if r is not None:
-        node = ctx.store.mk_literal(r)
+    counts = ctx.counts
+    if counts is not None:
+        log = counts.enter(via, cols, rows) if via is not None else ()
+        node = _mask_branch(cols, rows, counts.select(cols), ctx)
+        counts.leave(log)
     else:
-        comps = t.components(rows)
-        if len(comps) >= 2:
-            node = _mask_decomposed(cols, comps, ctx)
+        r = t.single_full_row(cols, rows)
+        if r is not None:
+            node = ctx.store.mk_literal(r)
         else:
-            node = _mask_branch(cols, rows, ctx)
+            comps = t.components(rows)
+            if len(comps) >= 2:
+                node = _mask_decomposed(cols, comps, ctx)
+            else:
+                node = _mask_branch(cols, rows, t.select_column(cols, rows),
+                                    ctx)
     ctx.cache[cols] = node
     return node
 
 
-def _mask_branch(cols: int, rows: int, ctx: _Ctx) -> int:
-    """``_branch`` on masks: each child is a new pair of masks."""
+def _mask_branch(cols: int, rows: int, c: int, ctx: _Ctx) -> int:
+    """``_branch`` on masks, over the rows of column ``c``: each child is
+    a new pair of masks."""
     t = ctx.masks
     row_cols, conflict = t.row_cols, t.conflict
     alpha = BOTTOM
-    todo = t.col_rows[t.select_column(cols, rows)] & rows
+    todo = t.col_rows[c] & rows
     while todo:
         low = todo & -todo
         todo ^= low
         r = low.bit_length() - 1
-        beta = _mask_search(cols & ~row_cols[r], rows & ~conflict[r], ctx)
+        beta = _mask_search(cols & ~row_cols[r], rows & ~conflict[r], ctx, r)
         if beta != BOTTOM:
             alpha = ctx.store.mk_decision(r, beta, alpha)
     return alpha
@@ -431,17 +448,15 @@ def _mask_decomposed(cols: int, comps, ctx: _Ctx) -> int:
 
 
 def _solve_root(inst, ctx: _Ctx) -> int:
-    """dxd searches the instance's masks; dxz and dyndxd search its
-    dancing-links matrix and check that it is restored afterwards."""
-    if ctx.engine == "dxd":
-        ctx.masks = MaskTables.from_instance(inst)
-        return _mask_search((1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1,
-                            ctx)
+    """dxz and dxd search the instance's masks; dyndxd searches its
+    dancing-links matrix and checks that it is restored afterwards."""
+    if ctx.engine != "dyndxd":
+        return _mask_root(MaskTables.from_instance(inst),
+                          (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1, ctx)
     m = DlxMatrix.from_instance(inst)
     before = m.snapshot()
-    if ctx.engine == "dyndxd":
-        ctx.adj = _row_adjacency(inst)
-        ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
+    ctx.adj = _row_adjacency(inst)
+    ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
     root = _search(m, ctx)
     if m._cover_stack or m.snapshot() != before:
         raise AssertionError("matrix not restored after solve")

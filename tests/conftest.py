@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import settings
 
+from xcover.diagram import BOTTOM, TOP, NodeStore
+from xcover.dlx import DlxMatrix
 from xcover.instance import Instance
+from xcover.solver import SolveConfig, solve
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -73,6 +76,42 @@ def random_instance(rng: random.Random, max_rows=12, max_cols=10,
     return Instance.build([f"C{c}" for c in range(n_cols)], rows)
 
 
+def dlx_dxz(inst: Instance):
+    """dxz on dancing links: the reference the engine's mask search is
+    compared against.  Same rules (fewest rows, smallest column id, rows
+    in id order, cache on the live columns); returns the store, the root
+    and the cache's (hits, misses)."""
+    m = DlxMatrix.from_instance(inst)
+    store, cache, traffic = NodeStore(), {}, [0, 0]
+
+    def search():
+        key = m.live_col_mask
+        if not key:
+            return TOP
+        if key in cache:
+            traffic[0] += 1
+            return cache[key]
+        traffic[1] += 1
+        c = m.select_column()
+        m.cover(c)
+        alpha = BOTTOM
+        for r in list(m.interacting_rows(c)):
+            others = [d for d in m.row_columns(r) if d != c]
+            for d in others:
+                m.cover(d)
+            beta = search()
+            if beta != BOTTOM:
+                alpha = store.mk_decision(r, beta, alpha)
+            for d in reversed(others):
+                m.uncover(d)
+        m.uncover(c)
+        cache[key] = alpha
+        return alpha
+
+    root = search()
+    return store, root, tuple(traffic)
+
+
 # The 12 free pentominoes; placements on a height x width board are the
 # rows of a classic exact-cover instance (3 x 20 has 8 covers).
 PENTOMINOES = {
@@ -122,3 +161,9 @@ def pentomino_instance(height=3, width=20) -> Instance:
                         cols = [p] + [12 + r * width + c for r, c in cells]
                         rows.append((f"{piece}{len(rows)}", cols))
     return Instance.build(columns, rows)
+
+
+@pytest.fixture(scope="session")
+def pentomino_dxz():
+    """dxz's report on pentomino 3x20, solved once per session."""
+    return solve(pentomino_instance(), SolveConfig(engine="dxz"))

@@ -1,13 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from xcover.diagram import BOTTOM
 from xcover.dlx import DlxMatrix
 from xcover.gen import block_diagonal
-from xcover.masks import MaskTables
-from xcover.solver import bfs_components
+from xcover.instance import Instance
+from xcover.masks import ColumnCounts, MaskTables
+from xcover.solver import SolveConfig, SolveTimeout, bfs_components, solve
 
-from conftest import random_instance
+from conftest import pentomino_instance, random_instance
 
 
 def bits(mask):
@@ -62,3 +65,72 @@ def test_masks_agree_with_dlx_at_random_live_states(seed):
         assert t.single_full_row(cols, rows) == m.single_full_row()
         if cols:
             assert t.select_column(cols, rows) == m.select_column()
+
+
+@given(st.integers(0, 10 ** 6))
+def test_column_counts_follow_a_random_descent(seed):
+    # walk down a random search path, choosing a random row of the chosen
+    # column each time: at every state the counts pick the column that
+    # both popcount and dancing links pick, and on the way back up each
+    # leave restores the parent's counts exactly
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_rows=14, max_cols=10)
+    if rng.random() < 0.5:
+        inst = block_diagonal(inst, rng.randint(2, 3))
+    t = MaskTables.from_instance(inst)
+    m = DlxMatrix.from_instance(inst)
+    cols, rows = (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1
+    counts = ColumnCounts(t, rows)
+    path = []
+    while cols:
+        assert all(counts.size[c] == (t.col_rows[c] & rows).bit_count()
+                   for c in bits(cols))
+        c = counts.select(cols)
+        assert c == t.select_column(cols, rows) == m.select_column()
+        choices = bits(t.col_rows[c] & rows)
+        if not choices:
+            break
+        r = rng.choice(choices)
+        saved = (list(counts.size), list(counts.bucket))
+        cols, rows = cols & ~t.row_cols[r], rows & ~t.conflict[r]
+        path.append((saved, counts.enter(r, cols, rows)))
+        for d in m.row_columns(r):
+            m.cover(d)
+    for saved, log in reversed(path):
+        counts.leave(log)
+        assert (counts.size, counts.bucket) == saved
+
+
+def test_column_without_rows_is_chosen_first():
+    # column b has no row; it is the first choice and the solve is BOTTOM
+    # at its first state
+    inst = Instance.build(["a", "b", "c"],
+                          [("R0", [0, 2]), ("R1", [0]), ("R2", [2])])
+    t = MaskTables.from_instance(inst)
+    counts = ColumnCounts(t, 0b111)
+    assert counts.select(0b111) == 1
+    rep = solve(inst, SolveConfig(engine="dxz"))
+    assert rep.root == BOTTOM
+    assert (rep.stats.cache_hits, rep.stats.cache_misses) == (0, 1)
+    # a column that a choice empties moves to bucket 0: choosing R1 of
+    # {R0: a b, R1: a} leaves column b live with no row
+    t = MaskTables(2, [(0, [0, 1]), (1, [0])])
+    counts = ColumnCounts(t, 0b11)
+    cols, rows = 0b11 & ~t.row_cols[1], 0b11 & ~t.conflict[1]
+    assert (cols, rows) == (0b10, 0)
+    counts.enter(1, cols, rows)
+    assert counts.size[1] == 0 and counts.bucket[0] & 0b10
+    assert counts.select(cols) == 1
+
+
+def test_dxz_solve_after_a_timeout_is_unchanged(pentomino_dxz):
+    # the column counts belong to one solve: one cut short mid-search
+    # leaves nothing behind for the next
+    inst = pentomino_instance()
+    with pytest.raises(SolveTimeout):
+        solve(inst, SolveConfig(engine="dxz", timeout_s=0.2))
+    rep = solve(inst, SolveConfig(engine="dxz"))
+    assert rep.store.dump(rep.root) == \
+        pentomino_dxz.store.dump(pentomino_dxz.root)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses) == \
+        (pentomino_dxz.stats.cache_hits, pentomino_dxz.stats.cache_misses)

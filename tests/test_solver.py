@@ -17,7 +17,8 @@ from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _component_set, _Ctx, _row_adjacency, _search,
                            bfs_components, decompose_matrix, solve)
 
-from conftest import DEMO_COVERS, pentomino_instance, random_instance
+from conftest import (DEMO_COVERS, dlx_dxz, pentomino_instance,
+                      random_instance)
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
 
@@ -201,29 +202,40 @@ def test_pentomino_dxd_search_pinned():
     assert rep.stats.cache_misses == 16933
 
 
-def dxd_dyndxd_agree(inst):
-    # the mask kernel (dxd) against the dancing-links one (dyndxd): same
-    # rules, so the same diagram, decompositions and cache traffic
+def test_pentomino_dxz_search_pinned(pentomino_dxz):
+    rep = pentomino_dxz
+    assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 0)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
+
+
+def masks_agree_with_dlx(inst):
+    # the mask kernel against the dancing-links one, dxd against dyndxd
+    # and dxz against conftest's reference: same rules, so the same
+    # diagram, decompositions and cache traffic
     a = run(inst, "dxd")
     b = run(inst, "dyndxd")
     assert a.store.dump(a.root) == b.store.dump(b.root)
     assert (a.stats.subs, a.stats.cache_hits, a.stats.cache_misses) == \
         (b.stats.subs, b.stats.cache_hits, b.stats.cache_misses)
+    z = run(inst, "dxz")
+    store, root, traffic = dlx_dxz(inst)
+    assert z.store.dump(z.root) == store.dump(root)
+    assert (z.stats.cache_hits, z.stats.cache_misses) == traffic
 
 
 def test_mask_kernel_matches_dlx_on_demo(demo):
-    dxd_dyndxd_agree(demo)
-    dxd_dyndxd_agree(block_diagonal(demo, 5))
+    masks_agree_with_dlx(demo)
+    masks_agree_with_dlx(block_diagonal(demo, 5))
 
 
 @given(st.integers(0, 10 ** 6))
 def test_mask_kernel_matches_dlx(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    dxd_dyndxd_agree(inst)
-    dxd_dyndxd_agree(block_diagonal(random_instance(rng, max_rows=6,
-                                                    max_cols=6),
-                                    rng.randint(2, 4)))
+    masks_agree_with_dlx(inst)
+    masks_agree_with_dlx(block_diagonal(random_instance(rng, max_rows=6,
+                                                        max_cols=6),
+                                        rng.randint(2, 4)))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
