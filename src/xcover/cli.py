@@ -126,6 +126,10 @@ def cmd_bench(args) -> int:
     for eng in engines:
         if eng not in ENGINES:
             raise ValueError(f"unknown engine {eng!r}")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    if args.timeout_s is not None and args.timeout_s < 0:
+        raise ValueError("--timeout-s must be >= 0")
     paths = sorted(p for p in Path(args.dir).iterdir()
                    if p.suffix in (".xc", ".matrix", ".mat"))
     sink = open(args.csv, "w", newline="") if args.csv else sys.stdout

@@ -14,7 +14,10 @@ horizontal links forever, so a live row can always be walked from
 
 Column and row identifiers are global: submatrices extracted for
 component decomposition keep the ids of the original instance, which is
-what makes the solver's column-set cache keys valid across submatrices.
+what makes column-set cache keys valid across submatrices.
+
+No engine searches this matrix: it is the reference that the bitmask
+kernel (``xcover.masks``) is tested against.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Row/column bitmask kernel for the dxz and dxd searches.
+"""Row/column bitmask kernel for the dxz, dxd and dyndxd searches.
 
 A subproblem is a pair of ints ``(cols, rows)``: bit c of ``cols`` is
 set while column c is still to be covered, bit r of ``rows`` while row r
@@ -15,11 +15,11 @@ Choosing row r turns ``(cols, rows)`` into
 as it was, so nothing is ever undone, and a component of the live rows
 is a pair of masks too, so no submatrix is rebuilt.  A live row's
 columns are always live, and ``cols`` doubles as the cache key, exactly
-as ``DlxMatrix.live_col_mask`` does for the dancing-links kernel.
+as ``DlxMatrix.live_col_mask`` does for the dancing-links reference.
 Row and column ids are the instance's global ids.
 
-dxd searches inside components, whose states are narrow, and chooses
-its column with ``MaskTables.select_column``, a popcount per live
+dxd and dyndxd search inside components, whose states are narrow, and
+choose their column with ``MaskTables.select_column``, a popcount per live
 column.  dxz's states span every live column, so it keeps the column
 sizes of its current state in a ``ColumnCounts`` instead: mutable,
 owned by one search, and recounted along each edge only where the

@@ -1,10 +1,10 @@
 """Exact-cover compilation engines.
 
-Three engines run one memoized depth-first search, keyed on the
-live-column bitset and emitting hash-consed diagram nodes.  dxz and dxd
-search row/column bitmasks (``masks.MaskTables``), where a subproblem is
-a pair of ints and nothing is undone; dyndxd searches a dancing-links
-matrix (``DlxMatrix``, the reference kernel):
+Three engines run one memoized depth-first search on row/column bitmasks
+(``masks.MaskTables``), keyed on the live-column bitset and emitting
+hash-consed diagram nodes.  A subproblem is a pair of ints, and a child
+is a new pair, so the search undoes nothing but the state an engine
+keeps beside the masks:
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
@@ -24,19 +24,20 @@ matrix (``DlxMatrix``, the reference kernel):
                so a join need not cost more than its chain.  On a tie
                the decomposable node stays (the worked example's root
                is still the join of its two components).
-* ``dyndxd``   is dxd on the dancing-links matrix, with the components
-               maintained incrementally by a dynconn.ComponentSet: inside
-               the branch loop, covering a column removes that column's
-               rows (and their incident edges) from the structure, and
-               uncovering it restores them.  Each component is searched
-               in a submatrix of its own (``decompose_matrix``), inline
-               or on a worker, with a ComponentSet of its own.
+* ``dyndxd``   is dxd with the components maintained incrementally by a
+               dynconn.ComponentSet instead of the flood fill: on
+               entering a searched state, the rows that its row choice
+               removed leave the set in one batch (with their incident
+               edges), and come back in one batch once the state's node
+               is built.  Each component is searched, inline or on a
+               worker, with a ComponentSet of its own.
 
-Both kernels apply the same rules (column choice, row order, literal,
-components in order of their smallest row), so dxd and dyndxd build the
-same diagram with the same cache traffic, and dxz builds the diagram
-that dancing links would.  ``bfs_components`` is the dancing-links
-reference for the components.
+All three apply the rules of dancing links (column choice, row order,
+literal, components in order of their smallest row), so dxd and dyndxd
+build the same diagram with the same cache traffic, and each builds the
+diagram that the search on a ``DlxMatrix`` would.  ``DlxMatrix``,
+``bfs_components`` and ``decompose_matrix`` are that dancing-links
+reference; no engine calls them.
 
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
@@ -47,7 +48,7 @@ column ids are global even inside components, which lets all components
 engine name and dispatches to the brute-force enumerator for
 ground-truth runs.  Worker threads are spawned only at decomposition
 points, with non-blocking token acquisition so no task ever waits on
-the pool; dxd's workers share the solve's mask tables read-only.
+the pool; workers share the solve's mask tables read-only.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class _Pool:
 
 class _Ctx:
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
-                 "cfg", "cs", "adj", "undo", "masks", "counts")
+                 "cfg", "cs", "adj", "masks", "counts")
 
     def __init__(self, engine, store, cache, stats, pool, deadline, cfg,
                  cs=None, adj=None, masks=None):
@@ -160,15 +161,15 @@ class _Ctx:
         self.pool = pool
         self.deadline = deadline
         self.cfg = cfg
-        self.cs = cs
-        self.adj = adj
-        self.undo = []          # dyndxd: (rows, edges) per covered column
-        self.masks = masks      # dxz, dxd: the MaskTables of the solve
+        self.cs = cs            # dyndxd: the ComponentSet of the live rows
+        self.adj = adj          # dyndxd: the row adjacency of the solve
+        self.masks = masks      # the MaskTables of the solve
         self.counts = None      # dxz: the ColumnCounts of its one search
 
     def fork(self, cs):
         return _Ctx(self.engine, self.store, self.cache, self.stats,
-                    self.pool, self.deadline, self.cfg, cs, self.adj)
+                    self.pool, self.deadline, self.cfg, cs, self.adj,
+                    self.masks)
 
 
 def bfs_components(m: DlxMatrix) -> list:
@@ -246,110 +247,27 @@ def _component_set(rows, adj) -> ComponentSet:
                                if s in rows})
 
 
-def _components(m, ctx):
-    if len(ctx.cs) != m.live_rows:
-        raise AssertionError("component structure out of sync with matrix")
-    return [sorted(c) for c in ctx.cs.partition()]
-
-
 def _check_deadline(ctx: _Ctx):
     if ctx.deadline is not None and time.monotonic() > ctx.deadline:
         raise SolveTimeout
 
 
+def _bits(mask: int):
+    """The ids of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:
-    """Compile the live part of ``m``.  dyndxd searches the matrix itself
-    and restores it; dxz and dxd read its live rows into masks and leave
-    it untouched."""
-    if ctx.engine != "dyndxd":
-        live = m.live_row_ids()
-        return _mask_root(MaskTables(m.live_col_mask.bit_length(),
-                                     ((r, m.row_columns(r)) for r in live)),
-                          m.live_col_mask, sum(1 << r for r in live), ctx)
-    _check_deadline(ctx)
-    if m.is_empty():
-        return TOP
-    key = m.live_col_mask
-    node = ctx.cache.get(key)
-    if node is not None:
-        ctx.stats.hit()
-        return node
-    ctx.stats.miss()
-    r = m.single_full_row()
-    if r is not None:
-        node = ctx.store.mk_literal(r)
-    else:
-        comps = _components(m, ctx)
-        if len(comps) >= 2:
-            node = _decomposed(m, comps, ctx)
-        else:
-            node = _branch(m, ctx)
-    ctx.cache[key] = node
-    return node
-
-
-def _branch(m: DlxMatrix, ctx: _Ctx) -> int:
-    """Branch over the rows of a minimum-size column, chaining each
-    satisfiable branch into a decision node."""
-    cover, uncover = _dyn_cover_pair(m, ctx)
-    c = m.select_column()
-    cover(c)
-    alpha = BOTTOM
-    h = m.header_of[c]
-    i = m.down[h]
-    while i != h:
-        j = m.right[i]
-        while j != i:
-            cover(m.col_id[m.head[j]])
-            j = m.right[j]
-        beta = _search(m, ctx)
-        if beta != BOTTOM:
-            alpha = ctx.store.mk_decision(m.row_of[i], beta, alpha)
-        j = m.left[i]
-        while j != i:
-            uncover(m.col_id[m.head[j]])
-            j = m.left[j]
-        i = m.down[i]
-    uncover(c)
-    return alpha
-
-
-def _dyn_cover_pair(m: DlxMatrix, ctx: _Ctx):
-    """cover/uncover that also drop each covered column's rows (and
-    their incident edges) from ``ctx.cs`` and restore them exactly,
-    from the batches kept on ``ctx.undo``."""
-    cs, adj, undo = ctx.cs, ctx.adj, ctx.undo
-
-    def cover(c):
-        _check_deadline(ctx)
-        rows = m.cover_collect(c)
-        edges = {_edge(r, s) for r in rows for s in adj[r] if s in cs}
-        if rows:
-            cs.dec_update(rows, edges)
-        undo.append((rows, edges))
-
-    def uncover(c):
-        rows, edges = undo.pop()
-        if rows:
-            cs.inc_update(rows, edges)
-        m.uncover(c)
-
-    return cover, uncover
-
-
-def _decomposed(m: DlxMatrix, comps, ctx: _Ctx) -> int:
-    subs = decompose_matrix(m, comps)
-    ctx.stats.add_subs(len(subs))
-    if sum(s.live_cols for s in subs) != m.live_cols:
-        # some live column interacts no live row; nothing can cover it
-        return BOTTOM
-    return _join([partial(_search_component, sub, ctx) for sub in subs],
-                 [sub.live_rows for sub in subs], ctx)
-
-
-def _search_component(sub: DlxMatrix, ctx: _Ctx) -> int:
-    """dyndxd searches each component with a ComponentSet of its own."""
-    return _search(sub, ctx.fork(_component_set(sub.row_first_cell, ctx.adj)))
+    """Compile the live part of ``m``, for any engine: its live rows are
+    read into masks and ``m`` is left untouched.  For dyndxd, ``ctx``
+    carries a ``cs`` over exactly those rows and their ``adj``."""
+    live = m.live_row_ids()
+    return _mask_root(MaskTables(m.live_col_mask.bit_length(),
+                                 ((r, m.row_columns(r)) for r in live)),
+                      m.live_col_mask, sum(1 << r for r in live), ctx)
 
 
 def _join(searches, sizes, ctx: _Ctx) -> int:
@@ -386,10 +304,10 @@ def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
 
 
 def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
-    """dxz and dxd on the subproblem ``(cols, rows)`` of ``ctx.masks``,
-    reached by choosing row ``via`` (None at a root): the same rules as
-    ``_search``, with nothing to undo but dxz's column counts, which
-    move to this state only when it is searched."""
+    """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
+    by choosing row ``via`` (None at a root).  What a search keeps beside
+    the masks (dxz's column counts, dyndxd's component set) moves to this
+    state only when it is searched, and back once its node is built."""
     _check_deadline(ctx)
     if not cols:
         return TOP
@@ -408,20 +326,44 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
         r = t.single_full_row(cols, rows)
         if r is not None:
             node = ctx.store.mk_literal(r)
+        elif ctx.cs is None:
+            node = _mask_split(cols, rows, t.components(rows), ctx)
         else:
-            comps = t.components(rows)
-            if len(comps) >= 2:
-                node = _mask_decomposed(cols, comps, ctx)
-            else:
-                node = _mask_branch(cols, rows, t.select_column(cols, rows),
-                                    ctx)
+            node = _dyn_split(cols, rows, via, ctx)
     ctx.cache[cols] = node
     return node
 
 
+def _dyn_split(cols: int, rows: int, via, ctx: _Ctx) -> int:
+    """dyndxd's ``_mask_split``, with the components read from ``ctx.cs``:
+    the rows that choosing ``via`` removed leave it in one batch, with
+    their live edges, and come back in one batch once the node is
+    built."""
+    cs, adj = ctx.cs, ctx.adj
+    if via is not None:
+        gone = [r for r in _bits(ctx.masks.conflict[via]) if r in cs]
+        edges = {_edge(r, s) for r in gone for s in adj[r] if s in cs}
+        cs.dec_update(gone, edges)
+    if len(cs) != rows.bit_count():
+        raise AssertionError("component structure out of sync with search")
+    comps = [sum(1 << r for r in c) for c in cs.partition()]
+    node = _mask_split(cols, rows, comps, ctx)
+    if via is not None:
+        cs.inc_update(gone, edges)
+    return node
+
+
+def _mask_split(cols: int, rows: int, comps, ctx: _Ctx) -> int:
+    """Join the components ``comps`` of ``rows`` if there are two or
+    more, else branch on a minimum-size column."""
+    if len(comps) >= 2:
+        return _mask_decomposed(cols, comps, ctx)
+    return _mask_branch(cols, rows, ctx.masks.select_column(cols, rows), ctx)
+
+
 def _mask_branch(cols: int, rows: int, c: int, ctx: _Ctx) -> int:
-    """``_branch`` on masks, over the rows of column ``c``: each child is
-    a new pair of masks."""
+    """Branch over the rows of column ``c``, chaining each satisfiable
+    branch into a decision node: each child is a new pair of masks."""
     t = ctx.masks
     row_cols, conflict = t.row_cols, t.conflict
     alpha = BOTTOM
@@ -442,25 +384,26 @@ def _mask_decomposed(cols: int, comps, ctx: _Ctx) -> int:
     if sum(c.bit_count() for c in sub_cols) != cols.bit_count():
         # some live column interacts no live row; nothing can cover it
         return BOTTOM
-    return _join([partial(_mask_search, c, rows, ctx)
+    return _join([partial(_mask_component, c, rows, ctx)
                   for c, rows in zip(sub_cols, comps)],
                  [rows.bit_count() for rows in comps], ctx)
 
 
+def _mask_component(cols: int, rows: int, ctx: _Ctx) -> int:
+    """Search one component; dyndxd with a ComponentSet of its own."""
+    if ctx.cs is not None:
+        ctx = ctx.fork(_component_set(_bits(rows), ctx.adj))
+    return _mask_search(cols, rows, ctx)
+
+
 def _solve_root(inst, ctx: _Ctx) -> int:
-    """dxz and dxd search the instance's masks; dyndxd searches its
-    dancing-links matrix and checks that it is restored afterwards."""
-    if ctx.engine != "dyndxd":
-        return _mask_root(MaskTables.from_instance(inst),
-                          (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1, ctx)
-    m = DlxMatrix.from_instance(inst)
-    before = m.snapshot()
-    ctx.adj = _row_adjacency(inst)
-    ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
-    root = _search(m, ctx)
-    if m._cover_stack or m.snapshot() != before:
-        raise AssertionError("matrix not restored after solve")
-    return root
+    """Search the instance's masks; dyndxd first builds its row
+    adjacency and the ComponentSet of every row."""
+    if ctx.engine == "dyndxd":
+        ctx.adj = _row_adjacency(inst)
+        ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
+    return _mask_root(MaskTables.from_instance(inst),
+                      (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1, ctx)
 
 
 def solve(inst, config: SolveConfig | None = None) -> SolveReport:

@@ -6,7 +6,8 @@ from hypothesis import settings
 from xcover.diagram import BOTTOM, TOP, NodeStore
 from xcover.dlx import DlxMatrix
 from xcover.instance import Instance
-from xcover.solver import SolveConfig, solve
+from xcover.solver import (SolveConfig, bfs_components, decompose_matrix,
+                           solve)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -76,22 +77,41 @@ def random_instance(rng: random.Random, max_rows=12, max_cols=10,
     return Instance.build([f"C{c}" for c in range(n_cols)], rows)
 
 
-def dlx_dxz(inst: Instance):
-    """dxz on dancing links: the reference the engine's mask search is
-    compared against.  Same rules (fewest rows, smallest column id, rows
-    in id order, cache on the live columns); returns the store, the root
-    and the cache's (hits, misses)."""
-    m = DlxMatrix.from_instance(inst)
-    store, cache, traffic = NodeStore(), {}, [0, 0]
+def dlx_search(inst: Instance, decompose: bool):
+    """The engines' search on dancing links: the reference that the mask
+    search is compared against.  dxz's rules (fewest rows, smallest
+    column id, rows in id order, cache on the live columns) and, with
+    ``decompose``, dxd's too: a single row covering every live column is
+    a literal, and two or more ``bfs_components`` are each searched in a
+    ``decompose_matrix`` submatrix of their own and joined.  Returns the
+    store, the root and ``(subs, cache hits, cache misses)``."""
+    store, cache, traffic = NodeStore(), {}, [0, 0, 0]
 
-    def search():
+    def search(m):
         key = m.live_col_mask
         if not key:
             return TOP
         if key in cache:
-            traffic[0] += 1
+            traffic[1] += 1
             return cache[key]
-        traffic[1] += 1
+        traffic[2] += 1
+        r = m.single_full_row() if decompose else None
+        comps = bfs_components(m) if decompose and r is None else []
+        if r is not None:
+            node = store.mk_literal(r)
+        elif len(comps) >= 2:
+            subs = decompose_matrix(m, comps)
+            traffic[0] += len(subs)
+            if sum(s.live_cols for s in subs) != m.live_cols:
+                node = BOTTOM  # a live column that no live row interacts
+            else:
+                node = store.mk_join([search(s) for s in subs])
+        else:
+            node = branch(m)
+        cache[key] = node
+        return node
+
+    def branch(m):
         c = m.select_column()
         m.cover(c)
         alpha = BOTTOM
@@ -99,16 +119,15 @@ def dlx_dxz(inst: Instance):
             others = [d for d in m.row_columns(r) if d != c]
             for d in others:
                 m.cover(d)
-            beta = search()
+            beta = search(m)
             if beta != BOTTOM:
                 alpha = store.mk_decision(r, beta, alpha)
             for d in reversed(others):
                 m.uncover(d)
         m.uncover(c)
-        cache[key] = alpha
         return alpha
 
-    root = search()
+    root = search(DlxMatrix.from_instance(inst))
     return store, root, tuple(traffic)
 
 

@@ -322,8 +322,8 @@ def _search_with_snapshot(inst, engine):
 
 
 def test_criterion_09_matrix_restoration():
-    # solve() itself snapshots and verifies on every run, so criteria 1-6
-    # already went through the check; here the comparison is made directly
+    # solve() builds no matrix; _search reads a matrix's live rows into
+    # masks, and must leave the matrix bit-for-bit as it was
     with criterion(9, "dancing-links state restored bit-for-bit", 30.0) as info:
         checked = 0
         for inst, want, _ in corpus()[:150]:

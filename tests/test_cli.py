@@ -162,6 +162,18 @@ def test_bench_stdout_and_bad_engine(tmp_path, capsys):
     assert main(["bench", str(d), "--engines", "warp"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--threads", "0"],
+                                  ["--timeout-s", "-1"]])
+def test_bench_bad_value_exits_2_before_any_row(tmp_path, capsys, flag):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "demo.xc").write_text(DEMO_XC)
+    assert main(["bench", str(d), *flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 1 and flag[0] in err
+
+
 def test_bench_continues_past_oracle_row_limit(tmp_path, capsys):
     d = tmp_path / "corpus"
     d.mkdir()

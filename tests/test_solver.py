@@ -10,14 +10,15 @@ from hypothesis import given, strategies as st
 import xcover
 from xcover.diagram import NodeStore
 from xcover.dlx import DlxMatrix
-from xcover.gen import block_diagonal
+from xcover.dynconn import ComponentSet
+from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
 from xcover.instance import Instance, serialize_instance
-from xcover.oracle import enumerate_covers
+from xcover.oracle import count_covers, enumerate_covers
 from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _component_set, _Ctx, _row_adjacency, _search,
                            bfs_components, decompose_matrix, solve)
 
-from conftest import (DEMO_COVERS, dlx_dxz, pentomino_instance,
+from conftest import (DEMO_COVERS, dlx_search, pentomino_instance,
                       random_instance)
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
@@ -112,8 +113,7 @@ def test_bfs_components(demo):
 
 
 def test_solve_restores_matrix(demo):
-    # solve() snapshots and verifies internally; run all engines twice to
-    # make sure nothing leaks between runs
+    # run all engines twice to make sure nothing leaks between runs
     for engine in DIAGRAM_ENGINES:
         assert run(demo, engine).count == 4
         assert run(demo, engine).count == 4
@@ -157,8 +157,8 @@ except SolveTimeout:
 
 
 def test_dyndxd_timeout_inside_a_branch():
-    # on pentomino 3x20 a single branch runs dynconn batches for seconds
-    # without re-entering _search; the deadline must still end the solve
+    # on pentomino 3x20 a single state's dynconn batch runs for seconds
+    # between two deadline checks; the deadline must still end the solve
     src = str(Path(xcover.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -188,6 +188,37 @@ def test_dyn_components_check_sync_with_matrix(demo):
         _search(DlxMatrix.from_instance(demo), ctx)
 
 
+def _chorded_rings(count, size=9, chords=6, seed=1) -> GraphInput:
+    # disjoint rings with random chords, as the benchmark's rings workload
+    rng = random.Random(seed)
+    pool = [(a, b) for a in range(size) for b in range(a + 2, size)
+            if (a, b) != (0, size - 1)]
+    edges = []
+    for i in range(count):
+        off = i * size
+        edges.extend((off + a, off + (a + 1) % size) for a in range(size))
+        edges.extend((off + a, off + b) for a, b in rng.sample(pool, chords))
+    return GraphInput(count * size, tuple(edges))
+
+
+def test_dyndxd_updates_components_only_on_searched_states(monkeypatch):
+    # a state found in the cache must not touch the ComponentSet: at most
+    # one deletion batch per searched state
+    calls = []
+    dec_update = ComponentSet.dec_update
+
+    def counted(self, *args):
+        calls.append(None)
+        return dec_update(self, *args)
+
+    monkeypatch.setattr(ComponentSet, "dec_update", counted)
+    inst = generate(_chorded_rings(2), GenConfig(fraction=0.3, seed=1))
+    rep = run(inst, "dyndxd")
+    assert rep.count == count_covers(inst, cap=10 ** 4) == 1490
+    assert rep.stats.cache_hits > 0
+    assert 0 < len(calls) <= rep.stats.cache_misses
+
+
 def test_block_diagonal_product_counts(demo):
     big = block_diagonal(demo, 10)
     for engine in ("dxd", "dyndxd"):
@@ -209,18 +240,14 @@ def test_pentomino_dxz_search_pinned(pentomino_dxz):
 
 
 def masks_agree_with_dlx(inst):
-    # the mask kernel against the dancing-links one, dxd against dyndxd
-    # and dxz against conftest's reference: same rules, so the same
-    # diagram, decompositions and cache traffic
-    a = run(inst, "dxd")
-    b = run(inst, "dyndxd")
-    assert a.store.dump(a.root) == b.store.dump(b.root)
-    assert (a.stats.subs, a.stats.cache_hits, a.stats.cache_misses) == \
-        (b.stats.subs, b.stats.cache_hits, b.stats.cache_misses)
-    z = run(inst, "dxz")
-    store, root, traffic = dlx_dxz(inst)
-    assert z.store.dump(z.root) == store.dump(root)
-    assert (z.stats.cache_hits, z.stats.cache_misses) == traffic
+    # each engine against the same search on dancing links (conftest):
+    # same rules, so the same diagram, decompositions and cache traffic
+    for engine in DIAGRAM_ENGINES:
+        rep = run(inst, engine)
+        store, root, traffic = dlx_search(inst, decompose=engine != "dxz")
+        assert rep.store.dump(rep.root) == store.dump(root)
+        assert (rep.stats.subs, rep.stats.cache_hits,
+                rep.stats.cache_misses) == traffic
 
 
 def test_mask_kernel_matches_dlx_on_demo(demo):
