@@ -23,7 +23,11 @@ choose their column with ``MaskTables.select_column``, a popcount per live
 column.  dxz's states span every live column, so it keeps the column
 sizes of its current state in a ``ColumnCounts`` instead: mutable,
 owned by one search, and recounted along each edge only where the
-chosen row can have changed them.
+chosen row can have changed them.  Before that recount, a child in which
+the chosen row left some live column without a live row is found by
+``ColumnCounts.starved`` and ends at once, as dancing links backtracks
+on an empty column; on pentomino 3x20 that is 11,621 of the 16,918
+non-root states that dxz searches.
 """
 
 from __future__ import annotations
@@ -132,6 +136,13 @@ class ColumnCounts:
     outside it may hold a stale count, which ``select`` masks out.
     ``enter`` moves the counts to a child, ``leave`` moves them back, in
     LIFO order, exactly as they were.
+
+    ``starved`` tells, without touching the counts, whether a child has a
+    live column with no live row, so that the search ends it (BOTTOM)
+    instead of entering it.  A child is only ever made from a parent
+    that was branched on, and the parent's chosen column had the fewest
+    rows, so every column of the parent had a row; only the columns of
+    ``reach[r]`` lose rows when r is chosen, so only they can starve.
     """
 
     __slots__ = ("col_rows", "size", "bucket", "reach")
@@ -167,6 +178,19 @@ class ColumnCounts:
             if b:
                 return (b & -b).bit_length() - 1
         raise ValueError("select on empty column set")
+
+    def starved(self, r: int, cols: int, rows: int) -> bool:
+        """True if ``(cols, rows)``, the child reached by choosing row r
+        from a state whose every column had a row, has a column with no
+        row; stops at the first such column."""
+        col_rows = self.col_rows
+        todo = self.reach[r] & cols
+        while todo:
+            low = todo & -todo
+            if not col_rows[low.bit_length() - 1] & rows:
+                return True
+            todo ^= low
+        return False
 
     def enter(self, r: int, cols: int, rows: int) -> list:
         """Move to ``(cols, rows)``, the child reached by choosing row r;

@@ -10,6 +10,10 @@ keeps beside the masks:
                decision nodes per interacting row; output is a ZBDD.
                The column sizes live in a ``masks.ColumnCounts``,
                recounted along each edge, in place of dxd's popcounts.
+               A searched state in which the row choice left a live
+               column without a live row is BOTTOM at once
+               (``ColumnCounts.starved``), before any recount, as
+               dancing links backtracks on an empty column.
 * ``dxd``      additionally short-circuits a single row that covers
                everything to a literal, and when the live rows fall
                into >= 2 connected components of the primal graph
@@ -319,9 +323,12 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     t = ctx.masks
     counts = ctx.counts
     if counts is not None:
-        log = counts.enter(via, cols, rows) if via is not None else ()
-        node = _mask_branch(cols, rows, counts.select(cols), ctx)
-        counts.leave(log)
+        if via is not None and counts.starved(via, cols, rows):
+            node = BOTTOM   # a column lost its last row: nothing covers it
+        else:
+            log = counts.enter(via, cols, rows) if via is not None else ()
+            node = _mask_branch(cols, rows, counts.select(cols), ctx)
+            counts.leave(log)
     else:
         r = t.single_full_row(cols, rows)
         if r is not None:
@@ -398,9 +405,12 @@ def _mask_component(cols: int, rows: int, ctx: _Ctx) -> int:
 
 def _solve_root(inst, ctx: _Ctx) -> int:
     """Search the instance's masks; dyndxd first builds its row
-    adjacency and the ComponentSet of every row."""
+    adjacency and the ComponentSet of every row, each only while the
+    deadline has not passed."""
     if ctx.engine == "dyndxd":
+        _check_deadline(ctx)
         ctx.adj = _row_adjacency(inst)
+        _check_deadline(ctx)
         ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
     return _mask_root(MaskTables.from_instance(inst),
                       (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1, ctx)

@@ -101,6 +101,45 @@ def test_column_counts_follow_a_random_descent(seed):
         assert (counts.size, counts.bucket) == saved
 
 
+@given(st.integers(0, 10 ** 6))
+def test_starved_children_along_a_random_descent(seed):
+    # at each state of a random descent, every child (one per row of the
+    # chosen column) is starved exactly when a live column has no live
+    # row: by popcount, and by dancing links choosing a column of size 0
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_rows=14, max_cols=10)
+    if rng.random() < 0.5:
+        inst = block_diagonal(inst, rng.randint(2, 3))
+    t = MaskTables.from_instance(inst)
+    m = DlxMatrix.from_instance(inst)
+    cols, rows = (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1
+    counts = ColumnCounts(t, rows)
+    while cols:
+        c = counts.select(cols)
+        fed = []
+        for r in bits(t.col_rows[c] & rows):
+            child = cols & ~t.row_cols[r], rows & ~t.conflict[r]
+            starved = counts.starved(r, *child)
+            assert starved == any(
+                (t.col_rows[d] & child[1]).bit_count() == 0
+                for d in bits(child[0]))
+            covered = m.row_columns(r)
+            for d in covered:
+                m.cover(d)
+            assert starved == (not m.is_empty() and not list(
+                m.interacting_rows(m.select_column())))
+            for d in reversed(covered):
+                m.uncover(d)
+            if not starved:
+                fed.append((r, child))
+        if not fed:
+            break
+        r, (cols, rows) = rng.choice(fed)
+        counts.enter(r, cols, rows)
+        for d in m.row_columns(r):
+            m.cover(d)
+
+
 def test_column_without_rows_is_chosen_first():
     # column b has no row; it is the first choice and the solve is BOTTOM
     # at its first state

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
 from xcover.instance import Instance, serialize_instance
+from xcover.masks import ColumnCounts
 from xcover.oracle import count_covers, enumerate_covers
 from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _component_set, _Ctx, _row_adjacency, _search,
@@ -135,6 +137,32 @@ def test_zero_timeout_raises(demo, engine):
         run(demo, engine, timeout_s=-1)
 
 
+def test_dyndxd_zero_timeout_builds_no_adjacency(demo, monkeypatch):
+    # an expired deadline ends a dyndxd solve before its setup starts
+    def built(inst):
+        raise AssertionError("row adjacency built after the deadline")
+
+    monkeypatch.setattr("xcover.solver._row_adjacency", built)
+    with pytest.raises(SolveTimeout):
+        run(demo, "dyndxd", timeout_s=0)
+
+
+def test_dyndxd_deadline_checked_between_setup_steps(demo, monkeypatch):
+    # a deadline that passes while the row adjacency is built ends the
+    # solve before the first ComponentSet is built
+    def slow(inst):
+        time.sleep(0.3)
+        return _row_adjacency(inst)
+
+    def built(rows, adj):
+        raise AssertionError("ComponentSet built after the deadline")
+
+    monkeypatch.setattr("xcover.solver._row_adjacency", slow)
+    monkeypatch.setattr("xcover.solver._component_set", built)
+    with pytest.raises(SolveTimeout):
+        run(demo, "dyndxd", timeout_s=0.1)
+
+
 def test_timeout_with_threads(demo):
     big = block_diagonal(demo, 6)
     with pytest.raises(SolveTimeout):
@@ -237,6 +265,30 @@ def test_pentomino_dxz_search_pinned(pentomino_dxz):
     rep = pentomino_dxz
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 0)
     assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
+
+
+def test_pentomino_dxz_ends_starved_states_uncounted(monkeypatch):
+    # of the 16,918 non-root states that dxz searches on pentomino 3x20,
+    # 11,621 have a column that the row choice left without a row; they
+    # end before their column counts are moved, and the rest are entered
+    calls = {"starved": 0, "enter": 0}
+    starved, enter = ColumnCounts.starved, ColumnCounts.enter
+
+    def counted_starved(self, *args):
+        hit = starved(self, *args)
+        calls["starved"] += hit
+        return hit
+
+    def counted_enter(self, *args):
+        calls["enter"] += 1
+        return enter(self, *args)
+
+    monkeypatch.setattr(ColumnCounts, "starved", counted_starved)
+    monkeypatch.setattr(ColumnCounts, "enter", counted_enter)
+    rep = run(pentomino_instance(), "dxz")
+    assert (rep.count, rep.nodes) == (8, 75)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
+    assert calls == {"starved": 11621, "enter": 5297}
 
 
 def masks_agree_with_dlx(inst):
