@@ -97,6 +97,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    if args.limit < 0:
+        raise ValueError("--enumerate LIMIT must be >= 0")
     _, inst = _load_instance(args.file)
     rep = solve(inst, SolveConfig(engine=args.engine, threads=args.threads))
     if args.dot is not None:

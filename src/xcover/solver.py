@@ -300,9 +300,10 @@ def _join(searches, sizes, ctx: _Ctx) -> int:
 
 def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
     """Search ``(cols, rows)`` of ``tables``; dxz first counts its
-    columns."""
+    columns, only while the deadline has not passed."""
     ctx.masks = tables
     if ctx.engine == "dxz":
+        _check_deadline(ctx)
         ctx.counts = ColumnCounts(tables, rows)
     return _mask_search(cols, rows, ctx)
 

@@ -99,6 +99,13 @@ def test_compile_enumerate_all_and_none(demo_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_compile_negative_enumerate_exits_2(demo_file, capsys):
+    assert main(["compile", str(demo_file), "--enumerate", "-2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error:") == 1 and "--enumerate" in err
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     graph = tmp_path / "toy.graph"
     graph.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -1,30 +1,62 @@
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from xcover.diagram import BOTTOM, TOP, NodeStore, load_dump
+from xcover.diagram import BOTTOM, TOP, NodeStore, _codec, load_dump
 
 
-def family_node(store: NodeStore, sets, n_vars: int):
+def family_node(store: NodeStore, sets, n_vars):
     """Reference construction: compile an explicit family of subsets of
-    range(n_vars) by branching on the lowest variable.  Used as an
-    independent oracle for count/enumerate/canonicity."""
+    range(n_vars), or of the ids in the list n_vars, by branching on the
+    lowest variable.  Used as an independent oracle for
+    count/enumerate/canonicity."""
     fam = frozenset(frozenset(s) for s in sets)
+    order = range(n_vars) if isinstance(n_vars, int) else sorted(n_vars)
 
-    def rec(f, v):
+    def rec(f, i):
         if not f:
             return BOTTOM
-        if v == n_vars:
+        if i == len(order):
             return TOP  # only the empty set can remain
+        v = order[i]
         pos = frozenset(s - {v} for s in f if v in s)
         neg = frozenset(s for s in f if v not in s)
-        return store.mk_decision(v, rec(pos, v + 1), rec(neg, v + 1))
+        return store.mk_decision(v, rec(pos, i + 1), rec(neg, i + 1))
 
     return rec(fam, 0)
 
 
 families = st.sets(st.frozensets(st.integers(0, 6), max_size=5), max_size=15)
+
+# Padding: a fixed run of more rows than iter_members keeps in tuples,
+# so that it enumerates on packed bytes.  The family's ids are odd,
+# offset + 1 ... offset + 13; the run's even ids lie below them (a
+# family's rows never go first), around them (below, between and
+# above), from between them up (a run id can fall between two rows
+# that are inserted together), or above them (a family's rows always
+# go first).  At offset 400 every id fits in 2 bytes, at 70,000 they
+# take 4.
+PAD_ROWS = 170
+PADS = {"below": range(-2 * PAD_ROWS, 0, 2),
+        "around": range(-200, 2 * PAD_ROWS - 200, 2),
+        "between": range(4, 4 + 2 * PAD_ROWS, 2),
+        "above": range(14, 14 + 2 * PAD_ROWS, 2)}
+LAYOUTS = [(offset, pad) for offset in (400, 70_000) for pad in PADS]
+
+
+def padded_family(store: NodeStore, fam, offset: int, layout: str):
+    """The root of ``fam`` (subsets of range(7)) moved to odd ids and
+    joined to a padding run, and its members as sorted tuples."""
+    ids = [offset + 2 * v + 1 for v in range(7)]
+    pad = frozenset(offset + i for i in PADS[layout])
+    moved = [frozenset(ids[v] for v in s) for s in fam]
+    root = store.mk_join([family_node(store, moved, ids),
+                          family_node(store, [pad], list(pad))])
+    if root != BOTTOM:
+        assert _codec(store._vars[root]).width == (2 if offset < 1 << 16
+                                                   else 4)
+    return root, sorted(tuple(sorted(m | pad)) for m in moved)
 
 
 def test_terminate_semantics():
@@ -193,6 +225,20 @@ def test_enumerate_limit_is_prefix(fam):
     for k in (0, 1, len(full) // 2, len(full)):
         assert s.enumerate(root, limit=k) == full[:k]
     assert list(s.iter_members(root)) == full
+
+
+@pytest.mark.parametrize("offset,layout", LAYOUTS)
+@settings(max_examples=50)
+@given(families)
+def test_padded_family_counts_and_members(offset, layout, fam):
+    s = NodeStore()
+    root, want = padded_family(s, fam, offset, layout)
+    assert s.count(root) == len(fam)
+    assert s.enumerate(root) == want
+    for k in (0, 1, len(want) // 2):
+        assert s.enumerate(root, limit=k) == want[:k]
+    assert list(s.iter_members(root)) == want
+    s.validate(root)
 
 
 def test_dump_round_trip():

@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,16 @@ def test_dyndxd_zero_timeout_builds_no_adjacency(demo, monkeypatch):
     monkeypatch.setattr("xcover.solver._row_adjacency", built)
     with pytest.raises(SolveTimeout):
         run(demo, "dyndxd", timeout_s=0)
+
+
+def test_dxz_zero_timeout_builds_no_column_counts(demo, monkeypatch):
+    # an expired deadline ends a dxz solve before its column counts exist
+    def built(tables, rows):
+        raise AssertionError("ColumnCounts built after the deadline")
+
+    monkeypatch.setattr("xcover.solver.ColumnCounts", built)
+    with pytest.raises(SolveTimeout):
+        run(demo, "dxz", timeout_s=0)
 
 
 def test_dyndxd_deadline_checked_between_setup_steps(demo, monkeypatch):
@@ -336,6 +348,24 @@ def test_deep_ladder_enumerates_without_recursion(demo, reverse):
         for cover in covers:
             cols = sorted(c for r in cover for c in big.rows[r][1])
             assert cols == list(range(big.n_cols))
+
+
+def test_deep_ladder_enumeration_memory(demo):
+    # the ladder's 2400 variables put the enumeration on packed bytes:
+    # drawing 10 covers from dxd's diagram peaks at about 8 MiB, against
+    # 28 MiB when every buffered partial cover was a tuple
+    big = block_diagonal(demo, 400)
+    dxd = run(big, "dxd")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        covers = dxd.store.enumerate(dxd.root, limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    dxz = run(big, "dxz")
+    assert covers == dxz.store.enumerate(dxz.root, limit=10)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
