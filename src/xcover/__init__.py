@@ -8,7 +8,7 @@ astronomically large.
 """
 
 from .diagram import BOTTOM, TOP, NodeStore, load_dump
-from .dynconn import Component, ComponentSet, DynConnError, EulerForest
+from .dynconn import Component, ComponentSet, DynConnError, SpanningForest
 from .gen import GenConfig, GraphInput, block_diagonal, generate, parse_graph
 from .instance import Instance, ParseError, parse_instance, serialize_instance
 from .oracle import CoverCapExceeded, count_covers, enumerate_covers
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOTTOM", "TOP", "NodeStore", "load_dump",
-    "Component", "ComponentSet", "DynConnError", "EulerForest",
+    "Component", "ComponentSet", "DynConnError", "SpanningForest",
     "GenConfig", "GraphInput", "block_diagonal", "generate", "parse_graph",
     "Instance", "ParseError", "parse_instance", "serialize_instance",
     "CoverCapExceeded", "count_covers", "enumerate_covers",

@@ -146,7 +146,7 @@ def cmd_bench(args) -> int:
         for path in paths:
             try:
                 name, inst = _load_instance(str(path))
-            except (ParseError, OSError) as exc:
+            except (ParseError, OSError, UnicodeDecodeError) as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 failed(path.name, "", "error")
                 continue

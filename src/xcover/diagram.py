@@ -484,6 +484,15 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 def _bits(mask: int) -> frozenset:
     """Positions of the set bits of ``mask``."""
+    if mask.bit_count() * 8 < mask.bit_length():
+        # sparse, as a dyndxd component's rows among all rows: one step
+        # per set bit beats a pass over every position
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return frozenset(out)
     digits = bin(mask)[:1:-1].encode().translate(_ZERO_ONE)   # LSB first
     return frozenset(compress(range(len(digits)), digits))
 

@@ -64,7 +64,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
 
-from .diagram import BOTTOM, TOP, NodeStore
+from .diagram import BOTTOM, TOP, NodeStore, _bits
 from .dlx import DlxMatrix
 from .dynconn import ComponentSet, _edge
 from .masks import ColumnCounts, MaskTables
@@ -254,14 +254,6 @@ def _component_set(rows, adj) -> ComponentSet:
 def _check_deadline(ctx: _Ctx):
     if ctx.deadline is not None and time.monotonic() > ctx.deadline:
         raise SolveTimeout
-
-
-def _bits(mask: int):
-    """The ids of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:

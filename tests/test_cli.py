@@ -198,3 +198,18 @@ def test_bench_continues_past_oracle_row_limit(tmp_path, capsys):
     assert rows["b.xc", "dxz"][3] == str(4 ** 5)
     for eng in ("dxz", "oracle"):
         assert rows["c.xc", eng][3] == "4" and rows["c.xc", eng][-1] == "ok"
+
+
+def test_bench_continues_past_undecodable_file(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "a.xc").write_text(DEMO_XC)
+    (d / "b.xc").write_bytes(b"\xff\xfe1 2\nA: 1\n")
+    (d / "c.xc").write_text(DEMO_XC)
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", str(d), "--engines", "dxz", "--csv", str(out)])
+    assert rc == 0
+    assert "b.xc" in capsys.readouterr().err
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [(r[0], r[-1]) for r in rows] == [("a.xc", "ok"), ("b.xc", "error"),
+                                             ("c.xc", "ok")]

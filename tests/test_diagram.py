@@ -1,9 +1,9 @@
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from xcover.diagram import BOTTOM, TOP, NodeStore, _codec, load_dump
+from xcover.diagram import BOTTOM, TOP, NodeStore, _bits, _codec, load_dump
 
 
 def family_node(store: NodeStore, sets, n_vars):
@@ -79,6 +79,14 @@ def test_literal():
     assert s.variables(lit) == {3}
     assert s.node_count(lit) == 1
     assert s.mk_literal(3) == lit  # hash-consed
+
+
+@given(st.sets(st.integers(0, 3000), max_size=400))
+@settings(max_examples=200, deadline=None)
+@example(set(range(0, 3000, 100)))      # sparse: a step per set bit
+@example(set(range(0, 3000, 2)))        # dense: a pass over every position
+def test_bits_sparse_and_dense(ids):
+    assert _bits(sum(1 << i for i in ids)) == ids
 
 
 def test_decision_rules():

@@ -2,17 +2,15 @@ import random
 
 import pytest
 
-from xcover.dynconn import (ComponentSet, DynConnError, EulerForest, _edge,
-                            _splay, _tour_nodes)
+from xcover.dynconn import ComponentSet, DynConnError, SpanningForest, _edge
 
 
 def path_forest(ids):
-    f = EulerForest()
-    adj = {v: [] for v in ids}
+    f = SpanningForest()
+    for v in ids:
+        f.add_vertex(v)
     for a, b in zip(ids, ids[1:]):
-        adj[a].append(b)
-        adj[b].append(a)
-    f.build_tree(ids[0], {v: sorted(ws) for v, ws in adj.items()})
+        f.link(a, b)
     return f
 
 
@@ -23,67 +21,39 @@ def test_edge_normalization():
         _edge(2, 2)
 
 
-def test_path_tour_shape():
-    f = path_forest([0, 1, 2, 3])
-    tour = f.tour_vertices(0)
-    assert len(tour) == 7
-    assert tour[0] == tour[-1]
-    assert set(tour) == {0, 1, 2, 3}
-    assert f.vertex_count(2) == 4
-    assert f.check_tree(0) == {(0, 1), (1, 2), (2, 3)}
-    assert f.tree_edge(1, 0) and not f.tree_edge(0, 2)
-    assert f.connected(0, 3) and f.connected(2, 2)
-
-
-def test_tour_invariant_under_splay():
-    f = path_forest([0, 1, 2, 3, 4])
-    want = f.tour_vertices(0)
-    for v in range(5):
-        for occ in list(f.occs[v]):
-            _splay(occ)
-            assert f.tour_vertices(0) == want
-
-
-def test_adjust_head_reroots():
-    for v in range(4):
-        f = path_forest([0, 1, 2, 3])
-        edges = f.check_tree(0)
-        root = f.adjust_head(v)
-        nodes = _tour_nodes(root)
-        assert nodes[0].value == v and nodes[-1].value == v
-        assert f.check_tree(v) == edges
-        # rerooting again, including to the same head, stays consistent
-        for w in (v, (v + 2) % 4):
-            f.adjust_head(w)
-            assert f.check_tree(w) == edges
-
-
 def test_isolated_vertex():
-    f = EulerForest()
+    f = SpanningForest()
     f.add_vertex(7)
-    assert f.tour_vertices(7) == [7]
-    assert f.vertex_count(7) == 1
-    assert f.check_tree(7) == set()
-    f.adjust_head(7)
+    assert f.tree == {7: set()}
+    assert f.check_tree(7) == ({7}, set())
     f.remove_vertex(7)
-    assert not f.has_vertex(7)
+    assert f.tree == {}
 
 
 def test_link_cut_round_trip():
     f = path_forest([0, 1, 2])
-    g_adj = {10: [11], 11: [10, 12], 12: [11]}
-    f.build_tree(10, g_adj)
-    assert not f.connected(2, 10)
+    for v in (10, 11, 12):
+        f.add_vertex(v)
+    f.link(10, 11)
+    f.link(11, 12)
+    f.add_vertex(20)
+    f.link(12, 20)
     f.link(2, 10)
-    assert f.connected(0, 12)
-    assert f.vertex_count(0) == 6
-    assert f.check_tree(0) == {(0, 1), (1, 2), (2, 10), (10, 11), (11, 12)}
-    u_root, v_root = f.cut(2, 10)
-    assert {n.value for n in _tour_nodes(u_root)} == {0, 1, 2}
-    assert {n.value for n in _tour_nodes(v_root)} == {10, 11, 12}
-    assert not f.connected(2, 10)
-    f.check_tree(0)
-    f.check_tree(10)
+    assert f.tree_edge(10, 2) and not f.tree_edge(0, 2)
+    assert f.check_tree(0) == ({0, 1, 2, 10, 11, 12, 20},
+                               {(0, 1), (1, 2), (2, 10), (10, 11), (11, 12),
+                                (12, 20)})
+    # the smaller side comes back, whichever endpoint it holds
+    assert f.cut(2, 10) == {0, 1, 2}
+    assert not f.tree_edge(2, 10)
+    assert f.check_tree(0) == ({0, 1, 2}, {(0, 1), (1, 2)})
+    assert f.cut(11, 10) == {10}
+    assert f.check_tree(11) == ({11, 12, 20}, {(11, 12), (12, 20)})
+    # equal sides: u's side
+    f.link(10, 11)
+    assert f.cut(11, 12) == {10, 11}
+    assert f.cut(12, 20) == {12}
+    assert f.cut(1, 0) == {0}
 
 
 def test_forest_error_contracts():
@@ -95,10 +65,37 @@ def test_forest_error_contracts():
     with pytest.raises(DynConnError):
         f.cut(0, 2)  # not a tree edge
     with pytest.raises(DynConnError):
-        f.link(0, 2)  # already connected
-    g = EulerForest()
-    with pytest.raises(DynConnError):
-        g.build_tree(0, {0: [1], 1: [0, 2], 2: [0, 1]})  # cycle
+        f.cut(0, 9)  # not a vertex
+    f.link(0, 2)  # link trusts its caller; the cycle shows in the check
+    with pytest.raises(AssertionError):
+        f.check_tree(0)
+
+
+class CountingDict(dict):
+    """A dict that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("leaf_first", [False, True])
+def test_cut_reads_only_the_smaller_side(leaf_first):
+    n = 10_000
+    f = path_forest(list(range(n)))
+    f.tree = CountingDict(f.tree)
+    u, v = (n - 1, n - 2) if leaf_first else (n - 2, n - 1)
+    assert f.cut(u, v) == {n - 1}
+    assert f.tree.lookups <= 6
+    f.tree.lookups = 0
+    assert f.cut(0, 1) == {0}
+    assert f.tree.lookups <= 6
 
 
 def _bfs_partition(vertices, edges):
@@ -127,31 +124,38 @@ def _bfs_partition(vertices, edges):
 def test_forest_random_link_cut_stress():
     rng = random.Random(2024)
     n = 30
-    f = EulerForest()
+    f = SpanningForest()
     for v in range(n):
         f.add_vertex(v)
     tree_edges = set()
+    want = _bfs_partition(range(n), tree_edges)
+    ties = 0
     for _ in range(300):
+        comp_of = {v: i for i, comp in enumerate(want) for v in comp}
         if tree_edges and rng.random() < 0.5:
             e = rng.choice(sorted(tree_edges))
             tree_edges.discard(e)
-            f.cut(*e)
+            u, v = e if rng.random() < 0.5 else e[::-1]
+            split = _bfs_partition(range(n), tree_edges)
+            side_u, side_v = (next(c for c in split if w in c) for w in (u, v))
+            small = side_u if len(side_u) <= len(side_v) else side_v
+            ties += len(side_u) == len(side_v)
+            assert f.cut(u, v) == small
         else:
             u, v = rng.randrange(n), rng.randrange(n)
-            if u == v or f.connected(u, v):
+            if comp_of[u] == comp_of[v]:
                 continue
             tree_edges.add(_edge(u, v))
             f.link(u, v)
         want = _bfs_partition(range(n), tree_edges)
-        comp_of = {v: i for i, comp in enumerate(want) for v in comp}
-        for _ in range(8):
-            a, b = rng.randrange(n), rng.randrange(n)
-            assert f.connected(a, b) == (comp_of[a] == comp_of[b])
-        roots = {id(f.root_of(v)): v for v in range(n)}
         decoded = set()
-        for v in roots.values():
-            decoded |= f.check_tree(v)
+        for comp in want:
+            for v in comp:
+                verts, edges = f.check_tree(v)
+                assert verts == comp
+            decoded |= edges
         assert decoded == tree_edges
+    assert ties
 
 
 # -- ComponentSet ----------------------------------------------------------
