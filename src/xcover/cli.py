@@ -26,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .gen import GenConfig, generate, parse_graph
@@ -105,7 +106,7 @@ def cmd_compile(args) -> int:
         var_names = {i: name for i, (name, _) in enumerate(inst.rows)}
         Path(args.dot).write_text(rep.store.export_dot(rep.root, var_names))
     if args.limit:
-        for cover in rep.store.enumerate(rep.root, args.limit):
+        for cover in islice(rep.store.iter_members(rep.root), args.limit):
             print(" ".join(sorted(inst.rows[r][0] for r in cover)))
     return 0
 

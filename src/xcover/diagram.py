@@ -310,9 +310,79 @@ class NodeStore:
         a shorter prefix first included, so the output does not depend
         on the choice.  Variables that all precede a set's first row
         are prepended to it without a sort (``_Decision.step``).
+
+        On packed items the family is first split into segments whose
+        variables follow one another (``_segments``): then it is their
+        product, and lexicographic order is odometer order over the
+        segments' own sorted families (``_product``).  Each segment
+        buffers only its own part of a set, so a chain of k blocks
+        holds O(k) parts, not a full partial set per node and item.
         """
         codec = _codec(self._vars[n])
-        return _members(_Streams(self, codec).stream(n), codec.unpack)
+        if codec is _TUPLES:
+            return _members(_Streams(self, codec).stream(n), codec.unpack)
+        return _product(self, self._segments(n), codec)
+
+    def _segments(self, n: NodeId) -> list:
+        """Split the family of ``n`` into a product of segments whose
+        variables follow one another: per segment, the nodes it reads
+        as a chain (one, or children of a decomposable node whose
+        variable ranges interleave) and the node that stands for its
+        TOP, where the next segment starts.
+
+        A node ``h`` ends the segment of ``m`` when every path from
+        ``m`` to TOP passes through it (BOTTOM edges aside), its
+        variables all exceed those of ``m`` above it, and its family
+        holds no empty set, so that every set in a later segment adds
+        rows.  A decomposable node splits into runs of children at the
+        gaps between their variable ranges (``_runs``), the runs from
+        the last one without the empty set on read as one.  One pass in
+        ascending id order, as in ``count``, finds each node's immediate
+        post-dominator towards TOP by walking the post-dominator chains
+        of its two branches to where they meet; a literal's and a
+        decomposable node's is TOP, since its children share no node.
+        A node with no such cut below it is one segment."""
+        entries, var = self._entries, self._vars
+        ipdom = [TOP] * (n + 1)
+        empty = [False] * (n + 1)   # the family holds the empty set
+        empty[TOP] = True
+        for m in sorted(self.reachable(n)):
+            e = entries[m]
+            if e[0] == _D:
+                a, b = e[2], e[3]
+                if b != BOTTOM:
+                    empty[m] = empty[b]
+                    while a != b:       # a post-dominator has a smaller id
+                        if a > b:
+                            a = ipdom[a]
+                        else:
+                            b = ipdom[b]
+                ipdom[m] = a
+            elif e[0] == _X:
+                empty[m] = all(empty[c] for c in e[1])
+        out = []
+        todo = [(n,)]
+        while todo:
+            heads = todo.pop()
+            m = heads[0]
+            if len(heads) > 1:
+                out.append((heads, TOP))
+                continue
+            if entries[m][0] == _X:
+                runs = _runs(entries[m][1], var)
+                j = len(runs) - 1
+                while j and all(empty[c] for c in runs[j]):
+                    j -= 1
+                todo.extend(reversed(runs[:j] + [sum(runs[j:], ())]))
+                continue
+            h = ipdom[m]
+            while h != TOP and (empty[h] or
+                                var[m] & ~var[h] >= var[h] & -var[h]):
+                h = ipdom[h]
+            out.append((heads, h))
+            if h != TOP:
+                todo.append((h,))
+        return out
 
     def enumerate(self, n: NodeId, limit=None) -> list:
         out = []
@@ -540,8 +610,10 @@ def _codec(mask: int) -> _Codec:
     width that holds the largest row id."""
     if mask.bit_count() < _PACKED_VARS:
         return _TUPLES
+    # the all-ones field of each width is the segment sentinel
+    # (``_product``), never an id
     top = mask.bit_length() - 1
-    width = 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+    width = 2 if top < 0xFFFF else 4 if top < 0xFFFF_FFFF else 8
     structs = _Structs(width)
     return _Codec(width,
                   lambda ids: structs[len(ids) * width].pack(*ids),
@@ -551,25 +623,27 @@ def _codec(mask: int) -> _Codec:
 class _Stream:
     """Lazy, memoized, lexicographically sorted view of a node's family.
 
-    One stream exists per node and context per enumeration call
-    (``_Streams`` builds them on first use); readers of the same stream
-    share its growing ``items`` buffer, so diamonds in the diagram are
-    expanded once.  Items are sets of the family in the call's encoding
-    (``_Codec``): sorted tuples of row ids below ``_PACKED_VARS`` root
-    variables, else bytes of the sorted ids big-endian in equal widths.
-    Equal-width big-endian fields compare bytewise as numbers, and a
-    shorter prefix sorts first in both, so either encoding orders the
-    items as their id tuples.  A decision node merges the arms of its
-    negative chain (``_Decision``).  A decomposable node is read as the
-    chain of
-    its children that ``NodeStore.mk_join`` would build, without
-    building it: each child is read with the chain of the children
-    after it standing for its TOP, which is the context.  Order is
-    preserved under inserting a decision variable because distinct
-    sets of a family are never related by prefix order here: the
-    families denoted by diagram nodes built from exact covers are
-    antichains (each set covers the same column set, so none strictly
-    contains another).
+    One stream exists per node and context per reader (``_Streams``
+    builds them on first use): one reader per enumeration call, or one
+    per segment of a product (``_product``).  Readers of the same
+    stream share its growing ``items`` buffer, so diamonds in the
+    diagram are expanded once.  Items are sets of the family in the
+    call's encoding (``_Codec``): sorted tuples of row ids below
+    ``_PACKED_VARS`` root variables, else bytes of the sorted ids
+    big-endian in equal widths.  Equal-width big-endian fields compare
+    bytewise as numbers, and a shorter prefix sorts first in both, so
+    either encoding orders the items as their id tuples.  A decision
+    node merges the arms of its negative chain (``_Decision``).  A
+    decomposable node is read as the chain of its children that
+    ``NodeStore.mk_join`` would build, without building it: each child
+    is read with the chain of the children after it standing for its
+    TOP, which is the context.  Order is preserved under inserting a
+    decision variable because distinct sets of a family are never
+    related by prefix order here: the families denoted by diagram nodes
+    built from exact covers are antichains (each set covers the same
+    column set, so none strictly contains another), and in a segment
+    that another follows, every item ends in the sentinel that stands
+    for the segment's end, so no item is a prefix of another.
 
     A stream grows by ``step``, which appends one item, marks the stream
     done, or returns the unfinished child stream that must first grow by
@@ -665,6 +739,96 @@ def _grow(s: _Stream):
             s = stack.pop()
         else:
             return
+
+
+def _runs(children, var) -> list:
+    """The children of a decomposable node in runs, ordered by their
+    variables: a child whose lowest variable lies below the highest
+    variable of the children before it joins their run."""
+    runs = []
+    seen = 0
+    for c in sorted(children, key=lambda c: var[c] & -var[c]):
+        if var[c] & -var[c] > seen:
+            runs.append((c,))
+        else:
+            runs[-1] += (c,)
+        seen |= var[c]
+    return runs
+
+
+class _EndAt:
+    """A store's entries as one segment reads them: the node that ends
+    the segment looks like a leaf, so no arm reads past it
+    (``_Streams._arms``)."""
+
+    __slots__ = ("entries", "end")
+
+    def __init__(self, entries, end: NodeId):
+        self.entries = entries
+        self.end = end
+
+    def __getitem__(self, m: NodeId) -> tuple:
+        return _LEAF if m == self.end else self.entries[m]
+
+
+_LEAF = ("E",)      # neither a decision nor a literal
+
+
+def _product(store: NodeStore, segments: list, codec: _Codec):
+    """Yield the sets of a family that is the product of ``segments``
+    (``NodeStore._segments``), in lexicographic order.
+
+    Each segment is read by its own ``_Streams``, with its end standing
+    for TOP and read as one sentinel item, the all-ones field of the
+    codec's width, which exceeds every row id.  Every later segment
+    adds rows above the segment's, so a part that is a proper prefix of
+    another must sort after it, as it does with the sentinel.  Sets
+    then come from an odometer over the segments' sorted parts, the
+    last segment varying fastest, and each set is joined once from its
+    parts, sentinels stripped."""
+    w = codec.width
+    last = len(segments) - 1
+    streams = []
+    for i, (heads, end) in enumerate(segments):
+        reader = _Streams(store, codec)
+        if i < last:
+            reader[end] = _Stream((b"\xff" * w,))
+            if end != TOP:
+                reader.entries = _EndAt(reader.entries, end)
+        s = None
+        for h in reversed(heads):
+            s = reader.stream(h, s)
+        streams.append(s)
+    if len(streams) == 1:
+        yield from _members(s, codec.unpack)
+        return
+    for s in streams:
+        _fill(s, 0)             # no segment is empty
+    firsts = [s.items[0][:-w] for s in streams[:-1]] + [s.items[0]]
+    parts = firsts[:]
+    at = [0] * len(streams)
+    join, unpack = b"".join, codec.unpack
+    while True:
+        yield unpack(join(parts))
+        i = last
+        while not _fill(streams[i], at[i] + 1):
+            at[i] = 0
+            parts[i] = firsts[i]
+            if i == 0:
+                return
+            i -= 1
+        k = at[i] = at[i] + 1
+        t = streams[i].items[k]
+        parts[i] = t if i == last else t[:-w]
+
+
+def _fill(s: _Stream, k: int) -> bool:
+    """Grow ``s`` until it holds item ``k``; False if it never will."""
+    while len(s.items) <= k:
+        if s.done:
+            return False
+        _grow(s)
+    return True
 
 
 def _members(root: _Stream, unpack):

@@ -6,6 +6,7 @@ import pytest
 from xcover.cli import main
 from xcover.gen import block_diagonal
 from xcover.instance import Instance, serialize_instance
+from xcover.solver import SolveConfig, solve
 
 from conftest import DEMO_MATRIX, DEMO_ROWS, DEMO_XC
 
@@ -97,6 +98,20 @@ def test_compile_enumerate_all_and_none(demo_file, capsys):
         ["A D", "A E F", "B C D", "B C E F"]
     assert main(["compile", str(demo_file)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_compile_enumerate_streams_covers(demo, tmp_path, capsys):
+    # 4**400 covers: each is printed as the diagram yields it, none
+    # waits for a list of the rest
+    big = block_diagonal(demo, 400)
+    f = tmp_path / "ladder.xc"
+    f.write_text(serialize_instance(big))
+    assert main(["compile", str(f), "--engine", "dxd",
+                 "--enumerate", "7"]) == 0
+    rep = solve(big, SolveConfig(engine="dxd"))
+    want = [" ".join(sorted(big.rows[r][0] for r in cover))
+            for cover in rep.store.enumerate(rep.root, 7)]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_compile_negative_enumerate_exits_2(demo_file, capsys):

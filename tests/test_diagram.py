@@ -1,16 +1,20 @@
+import itertools
+import sys
 import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xcover.diagram import BOTTOM, TOP, NodeStore, _bits, _codec, load_dump
+from xcover.diagram import (BOTTOM, TOP, NodeId, NodeStore, _bits, _codec,
+                            load_dump)
 
 
-def family_node(store: NodeStore, sets, n_vars):
+def family_node(store: NodeStore, sets, n_vars, top=TOP):
     """Reference construction: compile an explicit family of subsets of
     range(n_vars), or of the ids in the list n_vars, by branching on the
     lowest variable.  Used as an independent oracle for
-    count/enumerate/canonicity."""
+    count/enumerate/canonicity.  With ``top`` given, the node denotes
+    the family joined with top's, top standing for TOP."""
     fam = frozenset(frozenset(s) for s in sets)
     order = range(n_vars) if isinstance(n_vars, int) else sorted(n_vars)
 
@@ -18,7 +22,7 @@ def family_node(store: NodeStore, sets, n_vars):
         if not f:
             return BOTTOM
         if i == len(order):
-            return TOP  # only the empty set can remain
+            return top  # only the empty set can remain
         v = order[i]
         pos = frozenset(s - {v} for s in f if v in s)
         neg = frozenset(s for s in f if v not in s)
@@ -247,6 +251,145 @@ def test_padded_family_counts_and_members(offset, layout, fam):
         assert s.enumerate(root, limit=k) == want[:k]
     assert list(s.iter_members(root)) == want
     s.validate(root)
+
+
+# Products that enumerate on packed bytes: a few blocks on 7 rows each
+# and a padding block of PAD_ROWS rows, as a family of one set.
+# Separated blocks take consecutive id ranges, ascending; interleaved
+# ones share a range, block i holding every k-th id from i.  The
+# largest id is ``top``: 65,534 is the largest that 2-byte items hold;
+# 65,535 is the 2-byte sentinel, so it takes 4.
+TOPS = (600, 0xFFFE, 0xFFFF)
+
+
+def block_ids(k: int, layout: str, pad_first: bool, top: int) -> list:
+    """Ids of k blocks of 7 rows and, first or last, a padding block."""
+    if layout == "separated":
+        ids = [list(range(7 * i, 7 * i + 7)) for i in range(k)]
+    else:
+        ids = [list(range(i, 7 * k, k)) for i in range(k)]
+    pad = list(range(PAD_ROWS))
+    if pad_first:
+        ids = [pad] + [[PAD_ROWS + v for v in b] for b in ids]
+    else:
+        ids.append([7 * k + v for v in pad])
+    shift = top - max(map(max, ids))
+    return [[v + shift for v in b] for b in ids]
+
+
+def laid_out(fams, layout: str, pad_first: bool, top: int) -> tuple:
+    """The families of subsets of range(7) on their blocks' ids, the
+    padding block's one set first or last, and each block's ids."""
+    ids = block_ids(len(fams), layout, pad_first, top)
+    pad = [frozenset(ids[0] if pad_first else ids[-1])]
+    fams = [[frozenset(b[v] for v in s) for s in fam]
+            for fam, b in zip(fams, ids[1:] if pad_first else ids)]
+    return ([pad] + fams if pad_first else fams + [pad]), ids
+
+
+def product_members(fams) -> list:
+    want = [()]
+    for fam in fams:
+        want = [tuple(sorted(t + tuple(f))) for t in want for f in fam]
+    return sorted(want)
+
+
+def chain_node(store: NodeStore, fams, ids) -> NodeId:
+    """The product of the blocks as one chain in id order: each
+    block's TOP is the next block."""
+    tail = TOP
+    for fam, b in zip(reversed(fams), reversed(ids)):
+        tail = family_node(store, fam, b, tail)
+    return tail
+
+
+def check_members(store: NodeStore, root: NodeId, want: list):
+    assert store.count(root) == len(want)
+    assert store.enumerate(root) == want
+    for k in (0, 1, len(want) // 2):
+        assert store.enumerate(root, limit=k) == want[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(families, min_size=1, max_size=3), st.booleans(),
+       st.sampled_from(TOPS))
+@example([{frozenset(), frozenset({0})}, {frozenset({1}), frozenset({1, 2})}],
+         False, 0xFFFF)
+def test_product_of_separated_families(fams, pad_first, top):
+    # any families, the empty set and sets that contain others included:
+    # a segment's part that is a prefix of another sorts after it
+    fams, ids = laid_out(fams, "separated", pad_first, top)
+    assert _codec(sum(1 << v for b in ids for v in b)).width == (
+        2 if top < 0xFFFF else 4)
+    want = product_members(fams)
+    s = NodeStore()
+    check_members(s, chain_node(s, fams, ids), want)
+    kids = [family_node(s, fam, b) for fam, b in zip(fams, ids)]
+    check_members(s, s.mk_decomposable(kids), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, st.sampled_from(["separated", "interleaved"]), st.booleans(),
+       st.sampled_from(TOPS))
+def test_product_of_joined_blocks(fams, layout, pad_first, top):
+    # cover-like blocks (every set of a block has two rows), joined by
+    # mk_join, which chains them here (the padding block makes the
+    # chain smaller), and as the decomposable node that mk_join keeps
+    # when it does not chain; interleaved blocks share segments
+    fams, ids = laid_out(fams, layout, pad_first, top)
+    want = product_members(fams)
+    s = NodeStore()
+    kids = [family_node(s, fam, b) for fam, b in zip(fams, ids)]
+    check_members(s, s.mk_join(kids), want)
+    x = s.mk_decomposable(kids)
+    check_members(s, x, want)
+    # blocks whose rows interleave are read together, as one segment
+    spans = sorted((min(set().union(*fam)), max(set().union(*fam)))
+                   for fam in fams)
+    reach = itertools.accumulate((hi for _, hi in spans), max)
+    interleave = any(lo < hi for (lo, _), hi in zip(spans[1:], reach))
+    segments = s._segments(x)
+    assert len(segments) > 1
+    assert any(len(heads) > 1 for heads, _ in segments) == interleave
+
+
+def binary_prefix(pairs, rows, n: int) -> list:
+    """The first n sets of the product of {a} and {b}, for each pair
+    (a, b) of ascending pairs, with ``rows`` added to each: in
+    lexicographic order they count in binary, the last pair fastest."""
+    return [tuple(sorted([p[k >> (len(pairs) - 1 - i) & 1]
+                          for i, p in enumerate(pairs)] + rows))
+            for k in range(n)]
+
+
+def test_join_kept_decomposable_is_a_product():
+    # 85 blocks {a}, {b}: their chain would tie the join, so mk_join
+    # keeps the decomposable node, and each block is a segment
+    pairs = [(2 * i, 2 * i + 1) for i in range(85)]
+    s = NodeStore()
+    j = s.mk_join([family_node(s, [{a}, {b}], [a, b]) for a, b in pairs])
+    assert s.kind(j) == "X"
+    assert len(s._segments(j)) == 85
+    assert s.count(j) == 2 ** 85
+    assert s.enumerate(j, limit=20) == binary_prefix(pairs, [], 20)
+
+
+def test_deep_product_needs_no_recursion():
+    # 1200 levels, each a block {a}, {b} whose TOP is a decomposable
+    # node of one more row c and the next level: 2 segments per level,
+    # read at the default recursion limit
+    depth = 1200
+    assert sys.getrecursionlimit() < 2 * depth
+    s = NodeStore()
+    tail = TOP
+    for i in reversed(range(depth)):
+        x = s.mk_decomposable([s.mk_literal(3 * i + 2), tail])
+        tail = family_node(s, [{3 * i}, {3 * i + 1}], [3 * i, 3 * i + 1], x)
+    assert len(s._segments(tail)) == 2 * depth
+    assert s.count(tail) == 2 ** depth
+    pairs = [(3 * i, 3 * i + 1) for i in range(depth)]
+    rows = [3 * i + 2 for i in range(depth)]
+    assert s.enumerate(tail, limit=20) == binary_prefix(pairs, rows, 20)
 
 
 def test_dump_round_trip():

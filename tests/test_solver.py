@@ -351,9 +351,10 @@ def test_deep_ladder_enumerates_without_recursion(demo, reverse):
 
 
 def test_deep_ladder_enumeration_memory(demo):
-    # the ladder's 2400 variables put the enumeration on packed bytes:
-    # drawing 10 covers from dxd's diagram peaks at about 8 MiB, against
-    # 28 MiB when every buffered partial cover was a tuple
+    # the ladder's 2400 variables put the enumeration on packed bytes,
+    # and its 400 blocks make the family a product of segments: drawing
+    # 10 covers from dxd's diagram peaks at about 1.2 MiB, against 8 MiB
+    # when every node buffered a full partial cover per item
     big = block_diagonal(demo, 400)
     dxd = run(big, "dxd")
     gc.collect()
@@ -366,6 +367,27 @@ def test_deep_ladder_enumeration_memory(demo):
     assert peak < 16 * 2 ** 20
     dxz = run(big, "dxz")
     assert covers == dxz.store.enumerate(dxz.root, limit=10)
+
+
+def test_ladder_enumeration_memory_is_per_segment(demo):
+    # each of the ladder's segments buffers only its own rows: 100 covers
+    # peak at about 3.4 MiB, most of it the covers themselves, where
+    # copying every partial cover at every level of the chain took
+    # 68 MiB (and 1000 covers more than 1 GiB)
+    big = block_diagonal(demo, 400)
+    drawn = []
+    for engine in ("dxd", "dxz"):
+        rep = run(big, engine)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            drawn.append(rep.store.enumerate(rep.root, limit=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (engine, peak)
+    assert drawn[0] == drawn[1]
+    assert len(drawn[0]) == 100
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
