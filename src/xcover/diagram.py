@@ -31,11 +31,10 @@ the zero-suppression rules:
 from __future__ import annotations
 
 import heapq
-import struct
 import threading
 from bisect import bisect_left
-from itertools import compress
-from typing import Callable, NamedTuple
+from itertools import chain, compress, islice
+from typing import NamedTuple
 
 NodeId = int
 
@@ -301,27 +300,19 @@ class NodeStore:
         break this still yield every member exactly once, but possibly
         out of order.
 
-        The enumeration buffers partial sets.  When ``n`` has fewer
-        than ``_PACKED_VARS`` (160) variables they are sorted tuples;
-        else each is a ``bytes`` string of its sorted row ids, big-endian
-        in 2 bytes each (4 or 8 when the largest id needs them), a
-        quarter of a tuple's size and copied without reference counts.
-        Bytewise order on such strings is the order of the id tuples,
-        a shorter prefix first included, so the output does not depend
-        on the choice.  Variables that all precede a set's first row
-        are prepended to it without a sort (``_Decision.step``).
-
-        On packed items the family is first split into segments whose
-        variables follow one another (``_segments``): then it is their
-        product, and lexicographic order is odometer order over the
-        segments' own sorted families (``_product``).  Each segment
-        buffers only its own part of a set, so a chain of k blocks
-        holds O(k) parts, not a full partial set per node and item.
+        A root with ``_CUT_VARS`` (160) variables or more is first split
+        into segments whose variables follow one another
+        (``_segments``): then the family is their product, and
+        lexicographic order is odometer order over the segments' own
+        sorted families (``_product``).  Each segment buffers only its
+        own part of a set, so a chain of k blocks holds O(k) parts, not
+        a full partial set per node and item.  A smaller root is read
+        whole.
         """
-        codec = _codec(self._vars[n])
-        if codec is _TUPLES:
-            return _members(_Streams(self, codec).stream(n), codec.unpack)
-        return _product(self, self._segments(n), codec)
+        mask = self._vars[n]
+        if mask.bit_count() < _CUT_VARS:
+            return _members(_Streams(self).stream(n))
+        return _product(self, self._segments(n), mask.bit_length())
 
     def _segments(self, n: NodeId) -> list:
         """Split the family of ``n`` into a product of segments whose
@@ -385,14 +376,9 @@ class NodeStore:
         return out
 
     def enumerate(self, n: NodeId, limit=None) -> list:
-        out = []
         if limit is not None and limit <= 0:
-            return out
-        for t in self.iter_members(n):
-            out.append(t)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+            return []
+        return list(islice(self.iter_members(n), limit))
 
     def validate(self, n: NodeId):
         """Check structural invariants under ``n``; raises on violation."""
@@ -513,35 +499,43 @@ class NodeStore:
         return "\n".join(lines) + "\n"
 
 
+_FIELDS = {_B: 0, _T: 0, _L: 1, _D: 3}   # numbers after the kind; X: >= 2
+
+
 def load_dump(text: str):
     """Rebuild a diagram from NodeStore.dump output.
 
     Returns ``(store, root, id_map)`` where id_map sends dumped ids to
-    ids in the fresh store.
+    ids in the fresh store.  Raises ValueError naming the first line
+    that is malformed: an unknown kind, a wrong number of fields, a
+    field that is not an integer, an id defined twice, a child not
+    defined on an earlier line, or a node that breaks the diagram's
+    rules.
     """
     store = NodeStore()
     id_map = {}
     root = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+        if not raw.strip():
             continue
-        parts = line.split()
-        old = int(parts[0])
-        kind = parts[1]
-        if kind == _B:
-            new = BOTTOM
-        elif kind == _T:
-            new = TOP
-        elif kind == _L:
-            new = store.mk_literal(int(parts[2]))
-        elif kind == _D:
-            new = store.mk_decision(
-                int(parts[2]), id_map[int(parts[3])], id_map[int(parts[4])])
-        elif kind == _X:
-            new = store.mk_decomposable([id_map[int(p)] for p in parts[2:]])
-        else:
-            raise ValueError(f"bad dump line: {raw!r}")
+        try:
+            old, kind, *fields = raw.split()
+            old, args = int(old), [int(f) for f in fields]
+            if old in id_map:
+                raise ValueError("id defined twice")
+            if kind == _X and len(args) >= 2:
+                new = store.mk_decomposable([id_map[a] for a in args])
+            elif len(args) != _FIELDS.get(kind):
+                raise ValueError("unknown kind or wrong number of fields")
+            elif kind == _L:
+                new = store.mk_literal(args[0])
+            elif kind == _D:
+                new = store.mk_decision(
+                    args[0], id_map[args[1]], id_map[args[2]])
+            else:
+                new = BOTTOM if kind == _B else TOP
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"bad dump line: {raw!r}") from err
         id_map[old] = new
         root = new
     if root is None:
@@ -567,57 +561,12 @@ def _bits(mask: int) -> frozenset:
     return frozenset(compress(range(len(digits)), digits))
 
 
-# Roots with at least this many variables enumerate on packed items.
-# Measured on block_diagonal(demo, k), drawing 10 covers with dxd: the
-# two encodings tie at k = 25 (150 variables), and packing is 11-28 %
-# faster from k = 27 (162 variables) up.
-_PACKED_VARS = 160
-
-
-class _Codec(NamedTuple):
-    """How one enumeration call stores an item, a set of row ids: as a
-    sorted tuple (``width`` 1), or as ``bytes`` holding the sorted ids
-    big-endian in ``width`` bytes each.  Both compare, slice (``width``
-    units per id) and concatenate alike: equal-width big-endian fields
-    compare bytewise as the numbers they hold, and a proper prefix sorts
-    first, so bytewise order is the order of the id tuples."""
-    width: int
-    pack: Callable      # sorted row ids -> item
-    unpack: Callable    # item -> tuple of row ids
-
-
-_TUPLES = _Codec(1, tuple, tuple)
-
-
-class _Structs(dict):
-    """The ``struct.Struct`` of each item size in bytes, made on first
-    use, for ids of ``width`` bytes."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, size: int) -> struct.Struct:
-        code = {2: "H", 4: "I", 8: "Q"}[self.width]
-        f = self[size] = struct.Struct(f">{size // self.width}{code}")
-        return f
-
-
-def _codec(mask: int) -> _Codec:
-    """The codec for a root whose variables are the bits of ``mask``:
-    tuples below ``_PACKED_VARS`` variables, where packing and unpacking
-    cost more than the copies they save, else bytes of the narrowest
-    width that holds the largest row id."""
-    if mask.bit_count() < _PACKED_VARS:
-        return _TUPLES
-    # the all-ones field of each width is the segment sentinel
-    # (``_product``), never an id
-    top = mask.bit_length() - 1
-    width = 2 if top < 0xFFFF else 4 if top < 0xFFFF_FFFF else 8
-    structs = _Structs(width)
-    return _Codec(width,
-                  lambda ids: structs[len(ids) * width].pack(*ids),
-                  lambda item: structs[len(item)].unpack(item))
+# Roots with at least this many variables are split into segments at
+# cut nodes (``NodeStore._segments``) before they are read; smaller ones
+# are read whole.  The cut pass walks the whole diagram: run on every
+# root, it took reading the 8 dxd covers of pentomino 3x20 (68
+# variables, no cut) from 112 to 157 us.
+_CUT_VARS = 160
 
 
 class _Stream:
@@ -627,23 +576,19 @@ class _Stream:
     builds them on first use): one reader per enumeration call, or one
     per segment of a product (``_product``).  Readers of the same
     stream share its growing ``items`` buffer, so diamonds in the
-    diagram are expanded once.  Items are sets of the family in the
-    call's encoding (``_Codec``): sorted tuples of row ids below
-    ``_PACKED_VARS`` root variables, else bytes of the sorted ids
-    big-endian in equal widths.  Equal-width big-endian fields compare
-    bytewise as numbers, and a shorter prefix sorts first in both, so
-    either encoding orders the items as their id tuples.  A decision
-    node merges the arms of its negative chain (``_Decision``).  A
-    decomposable node is read as the chain of its children that
-    ``NodeStore.mk_join`` would build, without building it: each child
-    is read with the chain of the children after it standing for its
-    TOP, which is the context.  Order is preserved under inserting a
-    decision variable because distinct sets of a family are never
-    related by prefix order here: the families denoted by diagram nodes
-    built from exact covers are antichains (each set covers the same
-    column set, so none strictly contains another), and in a segment
-    that another follows, every item ends in the sentinel that stands
-    for the segment's end, so no item is a prefix of another.
+    diagram are expanded once.  Items are sets of the family as sorted
+    tuples of row ids.  A decision node merges the arms of its negative
+    chain (``_Decision``).  A decomposable node is read as the chain of
+    its children that ``NodeStore.mk_join`` would build, without
+    building it: each child is read with the chain of the children
+    after it standing for its TOP, which is the context.  Order is
+    preserved under inserting a decision variable because distinct sets
+    of a family are never related by prefix order here: the families
+    denoted by diagram nodes built from exact covers are antichains
+    (each set covers the same column set, so none strictly contains
+    another), and in a segment that another follows, every item ends in
+    the sentinel that stands for the segment's end, so no item is a
+    prefix of another.
 
     A stream grows by ``step``, which appends one item, marks the stream
     done, or returns the unfinished child stream that must first grow by
@@ -665,10 +610,9 @@ class _Streams(dict):
     """The streams of one enumeration call, keyed by node id, or by node
     id and the stream that stands for its TOP."""
 
-    def __init__(self, store: NodeStore, codec: _Codec):
+    def __init__(self, store: NodeStore):
         super().__init__()
         self.entries = store._entries
-        self.codec = codec
 
     def stream(self, n: NodeId, tail: _Stream | None = None) -> _Stream:
         if tail is None:
@@ -687,17 +631,16 @@ class _Streams(dict):
             elif e[0] == _D:
                 s = _Decision(self, *self._arms(e), tail)
             elif e[0] == _L:
-                s = _Decision(self, [self.codec.pack((e[1],))], [TOP], tail)
+                s = _Decision(self, [(e[1],)], [TOP], tail)
             else:
-                s = _Stream((self.codec.pack(()),) if e[0] == _T else ())
+                s = _Stream(((),) if e[0] == _T else ())
             self[key] = s
         return s
 
     def _arms(self, e) -> tuple:
         """The arms of decision entry ``e``: per arm, the variables it
-        inserts, packed (None if none), and the node it reads."""
+        inserts, sorted (None if none), and the node it reads."""
         entries = self.entries
-        pack = self.codec.pack
         adds, srcs = [], []
         while True:
             # a decision whose negative branch is BOTTOM, or a literal,
@@ -712,14 +655,14 @@ class _Streams(dict):
             if f[0] == _L:
                 vs += (f[1],)
                 src = TOP
-            adds.append(pack(sorted(vs) if len(vs) > 1 else vs))
+            adds.append(tuple(sorted(vs)) if len(vs) > 1 else vs)
             srcs.append(src)
             last = e[3]
             e = entries[last]
             if e[0] != _D:
                 break
         if e[0] == _L:
-            adds.append(pack((e[1],)))
+            adds.append((e[1],))
             srcs.append(TOP)
         elif last != BOTTOM:
             adds.append(None)
@@ -774,52 +717,51 @@ class _EndAt:
 _LEAF = ("E",)      # neither a decision nor a literal
 
 
-def _product(store: NodeStore, segments: list, codec: _Codec):
+def _product(store: NodeStore, segments: list, end: int):
     """Yield the sets of a family that is the product of ``segments``
     (``NodeStore._segments``), in lexicographic order.
 
     Each segment is read by its own ``_Streams``, with its end standing
-    for TOP and read as one sentinel item, the all-ones field of the
-    codec's width, which exceeds every row id.  Every later segment
-    adds rows above the segment's, so a part that is a proper prefix of
-    another must sort after it, as it does with the sentinel.  Sets
-    then come from an odometer over the segments' sorted parts, the
-    last segment varying fastest, and each set is joined once from its
-    parts, sentinels stripped."""
-    w = codec.width
+    for TOP and read as one sentinel item ``(end,)``, where ``end``
+    exceeds every row id.  Every later segment adds rows above the
+    segment's, so a part that is a proper prefix of another must sort
+    after it, as it does with the sentinel.  Sets then come from an
+    odometer over the segments' sorted parts, the last segment varying
+    fastest: the parts of the earlier segments, sentinels stripped, are
+    joined once per step among them, and each item of the last segment
+    is appended to that head."""
     last = len(segments) - 1
     streams = []
-    for i, (heads, end) in enumerate(segments):
-        reader = _Streams(store, codec)
+    for i, (heads, stop) in enumerate(segments):
+        reader = _Streams(store)
         if i < last:
-            reader[end] = _Stream((b"\xff" * w,))
-            if end != TOP:
-                reader.entries = _EndAt(reader.entries, end)
+            reader[stop] = _Stream(((end,),))
+            if stop != TOP:
+                reader.entries = _EndAt(reader.entries, stop)
         s = None
         for h in reversed(heads):
             s = reader.stream(h, s)
         streams.append(s)
     if len(streams) == 1:
-        yield from _members(s, codec.unpack)
+        yield from _members(s)
         return
     for s in streams:
         _fill(s, 0)             # no segment is empty
-    firsts = [s.items[0][:-w] for s in streams[:-1]] + [s.items[0]]
-    parts = firsts[:]
-    at = [0] * len(streams)
-    join, unpack = b"".join, codec.unpack
+    parts = [s.items[0][:-1] for s in streams[:-1]]
+    at = [0] * last
     while True:
-        yield unpack(join(parts))
-        i = last
+        head = tuple(chain.from_iterable(parts))
+        for t in _members(streams[-1]):
+            yield head + t
+        i = last - 1
         while not _fill(streams[i], at[i] + 1):
             at[i] = 0
-            parts[i] = firsts[i]
+            parts[i] = streams[i].items[0][:-1]
             if i == 0:
                 return
             i -= 1
         k = at[i] = at[i] + 1
-        t = streams[i].items[k]
-        parts[i] = t if i == last else t[:-w]
+        parts[i] = streams[i].items[k][:-1]
 
 
 def _fill(s: _Stream, k: int) -> bool:
@@ -831,12 +773,12 @@ def _fill(s: _Stream, k: int) -> bool:
     return True
 
 
-def _members(root: _Stream, unpack):
+def _members(root: _Stream):
     items = root.items
     i = 0
     while True:
         if i < len(items):
-            yield unpack(items[i])
+            yield items[i]
             i += 1
         elif root.done:
             return
@@ -857,24 +799,21 @@ class _Decision(_Stream):
     those only insert their variables, and so skips the buffers their
     own streams would fill.
 
-    An arm's variables are kept sorted and packed by the call's codec.
-    When they all come before an item's first row they are prepended to
-    it with no sort: ``item > vs[-w:]`` decides at the item's first id,
-    since the two share no id.  Otherwise one variable is spliced in at
-    its place, and several are sorted in.  On the ladder workload 8,776
-    of the 8,780 inserts drawing 10 covers are prepends.
+    An arm's variables are kept sorted.  When they all come before an
+    item's first row they are prepended to it with no sort.  Otherwise
+    one variable is spliced in at its place, and several are sorted in.
+    On the ladder workload 8,776 of the 8,780 inserts drawing 10 covers
+    are prepends.
     """
 
-    __slots__ = ("streams", "tail", "codec", "vars", "arms", "next", "heap",
-                 "pending")
+    __slots__ = ("streams", "tail", "vars", "arms", "next", "heap", "pending")
 
     def __init__(self, streams, adds, arms, tail):
         self.items = []
         self.done = False
         self.streams = streams
         self.tail = tail        # the stream standing for TOP, or None
-        self.codec = streams.codec
-        self.vars = adds        # per arm: packed variables, or None
+        self.vars = adds        # per arm: sorted variables, or None
         self.arms = arms        # per arm: its stream, once resolved
         self.next = None        # per arm: index of its next item
         self.heap = []
@@ -898,15 +837,13 @@ class _Decision(_Stream):
                 t = s.items[k]
                 vs = self.vars[a]
                 if vs is not None:      # merge the arm's variables into t
-                    codec = self.codec
-                    w = codec.width
-                    if not t or t > vs[-w:]:
+                    if not t or t[0] > vs[-1]:
                         t = vs + t      # t's first id follows vs's last
-                    elif len(vs) > w:
-                        t = codec.pack(sorted(codec.unpack(t + vs)))
+                    elif len(vs) > 1:
+                        t = tuple(sorted(t + vs))
                     else:
-                        i = bisect_left(codec.unpack(t), codec.unpack(vs)[0])
-                        t = t[:i * w] + vs + t[i * w:]
+                        i = bisect_left(t, vs[0])
+                        t = t[:i] + vs + t[i:]
                 pending.pop()
                 if not pending:     # push the last one and pop the least
                     t, a = heapq.heappushpop(heap, (t, a))

@@ -1,12 +1,16 @@
 import itertools
+import re
 import sys
 import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xcover.diagram import (BOTTOM, TOP, NodeId, NodeStore, _bits, _codec,
-                            load_dump)
+from xcover.diagram import BOTTOM, TOP, NodeId, NodeStore, _bits, load_dump
+from xcover.gen import block_diagonal
+from xcover.solver import SolveConfig, solve
+
+from conftest import pentomino_instance
 
 
 def family_node(store: NodeStore, sets, n_vars, top=TOP):
@@ -33,14 +37,14 @@ def family_node(store: NodeStore, sets, n_vars, top=TOP):
 
 families = st.sets(st.frozensets(st.integers(0, 6), max_size=5), max_size=15)
 
-# Padding: a fixed run of more rows than iter_members keeps in tuples,
-# so that it enumerates on packed bytes.  The family's ids are odd,
+# Padding: a fixed run of more rows than iter_members reads whole, so
+# that its root is first split into segments.  The family's ids are odd,
 # offset + 1 ... offset + 13; the run's even ids lie below them (a
 # family's rows never go first), around them (below, between and
 # above), from between them up (a run id can fall between two rows
 # that are inserted together), or above them (a family's rows always
-# go first).  At offset 400 every id fits in 2 bytes, at 70,000 they
-# take 4.
+# go first).  Offsets 400 and 70,000 put the ids below and above
+# 65,536.
 PAD_ROWS = 170
 PADS = {"below": range(-2 * PAD_ROWS, 0, 2),
         "around": range(-200, 2 * PAD_ROWS - 200, 2),
@@ -57,9 +61,6 @@ def padded_family(store: NodeStore, fam, offset: int, layout: str):
     moved = [frozenset(ids[v] for v in s) for s in fam]
     root = store.mk_join([family_node(store, moved, ids),
                           family_node(store, [pad], list(pad))])
-    if root != BOTTOM:
-        assert _codec(store._vars[root]).width == (2 if offset < 1 << 16
-                                                   else 4)
     return root, sorted(tuple(sorted(m | pad)) for m in moved)
 
 
@@ -253,12 +254,13 @@ def test_padded_family_counts_and_members(offset, layout, fam):
     s.validate(root)
 
 
-# Products that enumerate on packed bytes: a few blocks on 7 rows each
+# Products that are split into segments: a few blocks on 7 rows each
 # and a padding block of PAD_ROWS rows, as a family of one set.
 # Separated blocks take consecutive id ranges, ascending; interleaved
 # ones share a range, block i holding every k-th id from i.  The
-# largest id is ``top``: 65,534 is the largest that 2-byte items hold;
-# 65,535 is the 2-byte sentinel, so it takes 4.
+# largest id is ``top``, small or on either side of 65,535, so that the
+# segment sentinel, one more than the largest id, is checked at large
+# ids too.
 TOPS = (600, 0xFFFE, 0xFFFF)
 
 
@@ -319,8 +321,6 @@ def test_product_of_separated_families(fams, pad_first, top):
     # any families, the empty set and sets that contain others included:
     # a segment's part that is a prefix of another sorts after it
     fams, ids = laid_out(fams, "separated", pad_first, top)
-    assert _codec(sum(1 << v for b in ids for v in b)).width == (
-        2 if top < 0xFFFF else 4)
     want = product_members(fams)
     s = NodeStore()
     check_members(s, chain_node(s, fams, ids), want)
@@ -351,6 +351,29 @@ def test_product_of_joined_blocks(fams, layout, pad_first, top):
     segments = s._segments(x)
     assert len(segments) > 1
     assert any(len(heads) > 1 for heads, _ in segments) == interleave
+
+
+class CutPass(Exception):
+    pass
+
+
+def test_small_roots_skip_the_cut_pass(monkeypatch, demo):
+    # pentomino 3x20 has no cut, and the cut pass would add 40 % to its
+    # read; a root under 160 variables is read whole without it
+    pent = solve(pentomino_instance(), SolveConfig(engine="dxd"))
+    ladder = solve(block_diagonal(demo, 400), SolveConfig(engine="dxd"))
+    assert len(pent.store.variables(pent.root)) < 160
+    assert len(ladder.store.variables(ladder.root)) >= 160
+
+    def cut_pass(self, n):
+        raise CutPass
+
+    monkeypatch.setattr(NodeStore, "_segments", cut_pass)
+    covers = pent.store.enumerate(pent.root)
+    assert len(covers) == pent.count == 8
+    assert covers == sorted(covers)
+    with pytest.raises(CutPass):
+        ladder.store.enumerate(ladder.root, limit=1)
 
 
 def binary_prefix(pairs, rows, n: int) -> list:
@@ -420,6 +443,26 @@ def test_dump_terminal_only():
         load_dump("")
     with pytest.raises(ValueError):
         load_dump("0 Q\n")
+
+
+@pytest.mark.parametrize("line", [
+    "2 L",              # too few fields
+    "2 D 5 1",
+    "2",
+    "2 X 0",            # one child
+    "2 L 3 4",          # a stray field
+    "2 D 0 9 1",        # a child not defined before
+    "2 X 7 8",
+    "2 L x",            # not an integer
+    "x L 3",
+    "2 Q 3",            # an unknown kind
+    "5 L 4",            # an id defined twice
+    "2 D 3 5 0",        # a variable in its own branch
+    "2 X 5 5",          # children that share a variable
+])
+def test_load_dump_names_a_malformed_line(line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        load_dump("0 B\n1 T\n5 L 3\n" + line + "\n")
 
 
 def test_export_dot():

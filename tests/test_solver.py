@@ -351,9 +351,9 @@ def test_deep_ladder_enumerates_without_recursion(demo, reverse):
 
 
 def test_deep_ladder_enumeration_memory(demo):
-    # the ladder's 2400 variables put the enumeration on packed bytes,
+    # the ladder's 2400 variables send the root through the cut pass,
     # and its 400 blocks make the family a product of segments: drawing
-    # 10 covers from dxd's diagram peaks at about 1.2 MiB, against 8 MiB
+    # 10 covers from dxd's diagram peaks at about 1.1 MiB, against 8 MiB
     # when every node buffered a full partial cover per item
     big = block_diagonal(demo, 400)
     dxd = run(big, "dxd")
@@ -371,7 +371,7 @@ def test_deep_ladder_enumeration_memory(demo):
 
 def test_ladder_enumeration_memory_is_per_segment(demo):
     # each of the ladder's segments buffers only its own rows: 100 covers
-    # peak at about 3.4 MiB, most of it the covers themselves, where
+    # peak at about 1.6 MiB, most of it the covers themselves, where
     # copying every partial cover at every level of the chain took
     # 68 MiB (and 1000 covers more than 1 GiB)
     big = block_diagonal(demo, 400)
