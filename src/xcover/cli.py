@@ -131,8 +131,8 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown engine {eng!r}")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    if args.timeout_s is not None and args.timeout_s < 0:
-        raise ValueError("--timeout-s must be >= 0")
+    if args.timeout_s is not None and not args.timeout_s >= 0:  # NaN too
+        raise ValueError("--timeout-s must be a number >= 0")
     paths = sorted(p for p in Path(args.dir).iterdir()
                    if p.suffix in (".xc", ".matrix", ".mat"))
     sink = open(args.csv, "w", newline="") if args.csv else sys.stdout

@@ -4,7 +4,14 @@ Three engines run one memoized depth-first search on row/column bitmasks
 (``masks.MaskTables``), keyed on the live-column bitset and emitting
 hash-consed diagram nodes.  A subproblem is a pair of ints, and a child
 is a new pair, so the search undoes nothing but the state an engine
-keeps beside the masks:
+keeps beside the masks.  The search is one loop over an explicit stack
+(``_mask_search``), so its depth is bounded by memory rather than by the
+interpreter's recursion limit, which ``solve`` leaves alone.  A frame is
+a searched state: a branch over the rows of its column, holding the
+chain of decision nodes built so far, or a join of components, holding
+their nodes so far and the futures of those sent to workers.  It also
+holds what entering the state changed beside the masks, to be undone
+once the state's node is built:
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
@@ -52,12 +59,12 @@ column ids are global even inside components, which lets all components
 engine name and dispatches to the brute-force enumerator for
 ground-truth runs.  Worker threads are spawned only at decomposition
 points, with non-blocking token acquisition so no task ever waits on
-the pool; workers share the solve's mask tables read-only.
+the pool; workers share the solve's mask tables read-only.  A worker
+runs the same loop from its component, with a ``SolveStats`` of its own.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -86,30 +93,15 @@ class SolveConfig:
 
 
 class SolveStats:
-    """Counters shared across worker threads."""
+    """Search counters.  A worker thread counts into a ``SolveStats`` of
+    its own, which the join that spawned it adds in, so no counter is
+    shared between threads."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
         self.subs = 0
         self.spawned = 0
-
-    def hit(self):
-        with self._lock:
-            self.cache_hits += 1
-
-    def miss(self):
-        with self._lock:
-            self.cache_misses += 1
-
-    def add_subs(self, n):
-        with self._lock:
-            self.subs += n
-
-    def add_spawned(self):
-        with self._lock:
-            self.spawned += 1
 
 
 @dataclass
@@ -171,7 +163,8 @@ class _Ctx:
         self.counts = None      # dxz: the ColumnCounts of its one search
 
     def fork(self, cs):
-        return _Ctx(self.engine, self.store, self.cache, self.stats,
+        """A worker's context: counters and component set of its own."""
+        return _Ctx(self.engine, self.store, self.cache, SolveStats(),
                     self.pool, self.deadline, self.cfg, cs, self.adj,
                     self.masks)
 
@@ -266,30 +259,6 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
                       m.live_col_mask, sum(1 << r for r in live), ctx)
 
 
-def _join(searches, sizes, ctx: _Ctx) -> int:
-    """Search each component (a zero-argument callable; ``sizes`` holds
-    its row counts) and join the results.  Every component but the first
-    with at least ``spawn_threshold`` rows goes to a worker if one is
-    free; the rest run inline."""
-    children = [None] * len(searches)
-    futures = []
-    if ctx.pool is not None:
-        for i in range(1, len(searches)):
-            if sizes[i] < ctx.cfg.spawn_threshold:
-                continue
-            fut = ctx.pool.try_spawn(searches[i])
-            if fut is not None:
-                futures.append((i, fut))
-                ctx.stats.add_spawned()
-    pending = {i for i, _ in futures}
-    for i, search in enumerate(searches):
-        if i not in pending:
-            children[i] = search()
-    for i, fut in futures:
-        children[i] = fut.result()
-    return ctx.store.mk_join(children)
-
-
 def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
     """Search ``(cols, rows)`` of ``tables``; dxz first counts its
     columns, only while the deadline has not passed."""
@@ -300,100 +269,133 @@ def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
     return _mask_search(cols, rows, ctx)
 
 
-def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
-    """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
-    by choosing row ``via`` (None at a root).  What a search keeps beside
-    the masks (dxz's column counts, dyndxd's component set) moves to this
-    state only when it is searched, and back once its node is built."""
-    _check_deadline(ctx)
-    if not cols:
-        return TOP
-    node = ctx.cache.get(cols)
-    if node is not None:
-        ctx.stats.hit()
-        return node
-    ctx.stats.miss()
+def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
+    """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``.  A frame
+    of the stack is a list ``[cols, rows, cs, undo, todo, i, node, parts]``:
+    ``todo`` is a bitmask of the children not searched yet and ``i`` the
+    one being searched.  A branch (``parts`` None) has the rows of its
+    column as children and chains each satisfiable one into ``node`` as
+    it returns.  A join replaces each of its components in ``parts`` by
+    its node, the ones in ``todo`` searched inline and the others by
+    workers, and runs ``mk_join`` after the last.  A state that ends at
+    once (a literal, BOTTOM) is a frame with no children.  ``undo`` is
+    dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
+    choice removed from ``cs``, the ComponentSet of the state's rows; a
+    join gives each component a ComponentSet of its own."""
     t = ctx.masks
-    counts = ctx.counts
-    if counts is not None:
-        if via is not None and counts.starved(via, cols, rows):
-            node = BOTTOM   # a column lost its last row: nothing covers it
+    col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
+    store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
+    cs, adj, pool = ctx.cs, ctx.adj, ctx.pool
+    via = None
+    stack = []
+    while True:
+        # enter (cols, rows), reached by choosing row via (None at a root)
+        _check_deadline(ctx)
+        if not cols:
+            node = TOP
+        elif (node := cache.get(cols)) is not None:
+            stats.cache_hits += 1
         else:
-            log = counts.enter(via, cols, rows) if via is not None else ()
-            node = _mask_branch(cols, rows, counts.select(cols), ctx)
-            counts.leave(log)
-    else:
-        r = t.single_full_row(cols, rows)
-        if r is not None:
-            node = ctx.store.mk_literal(r)
-        elif ctx.cs is None:
-            node = _mask_split(cols, rows, t.components(rows), ctx)
+            stats.cache_misses += 1
+            node = BOTTOM
+            undo = parts = None
+            todo = 0
+            if counts is not None:
+                # a child in which a column lost its last row stays BOTTOM
+                if via is None or not counts.starved(via, cols, rows):
+                    if via is not None:
+                        undo = counts.enter(via, cols, rows)
+                    todo = col_rows[counts.select(cols)] & rows
+            elif (r := t.single_full_row(cols, rows)) is not None:
+                node = store.mk_literal(r)
+            else:
+                if cs is None:
+                    comps = t.components(rows)
+                else:
+                    if via is not None:
+                        gone = [r for r in _bits(conflict[via]) if r in cs]
+                        undo = gone, {_edge(r, s) for r in gone
+                                      for s in adj[r] if s in cs}
+                        cs.dec_update(*undo)
+                    if len(cs) != rows.bit_count():
+                        raise AssertionError(
+                            "component structure out of sync with search")
+                    comps = [sum(1 << r for r in c) for c in cs.partition()]
+                if len(comps) < 2:
+                    todo = col_rows[t.select_column(cols, rows)] & rows
+                else:
+                    stats.subs += len(comps)
+                    parts = [(t.columns_of(m), m) for m in comps]
+                    covered = sum(c.bit_count() for c, _ in parts)
+                    if covered == cols.bit_count():
+                        todo = (1 << len(parts)) - 1
+                    else:
+                        parts = None    # a live column interacts no live row
+            if parts is not None and pool is not None:
+                # every component but the first with spawn_threshold rows
+                # goes to a worker if one is free
+                for i in range(1, len(parts)):
+                    c, m = parts[i]
+                    if m.bit_count() < ctx.cfg.spawn_threshold:
+                        continue
+                    fut = pool.try_spawn(partial(_mask_component, c, m, ctx))
+                    if fut is not None:
+                        parts[i] = fut
+                        todo ^= 1 << i
+                        stats.spawned += 1
+            stack.append([cols, rows, cs, undo, todo, -1, node, parts])
+            node = None
+        # give node to its parent frame, and pop each frame that is done,
+        # until one has a child left to search
+        while stack:
+            f = stack[-1]
+            parts = f[7]
+            if node is not None:        # else the frame was just entered
+                if parts is not None:
+                    parts[f[5]] = node
+                elif node != BOTTOM:
+                    f[6] = store.mk_decision(f[5], node, f[6])
+            todo = f[4]
+            if todo:
+                low = todo & -todo
+                f[4] = todo ^ low
+                i = f[5] = low.bit_length() - 1
+                if parts is None:
+                    cols, rows = f[0] & ~row_cols[i], f[1] & ~conflict[i]
+                    cs, via = f[2], i
+                else:
+                    (cols, rows), via = parts[i], None
+                    if f[2] is not None:
+                        cs = _component_set(_bits(rows), adj)
+                break
+            stack.pop()
+            cols, _, cs, undo, _, _, node, parts = f
+            if parts is not None:
+                for i, p in enumerate(parts):
+                    if isinstance(p, Future):
+                        parts[i], worker = p.result()
+                        stats.cache_hits += worker.cache_hits
+                        stats.cache_misses += worker.cache_misses
+                        stats.subs += worker.subs
+                        stats.spawned += worker.spawned
+                node = store.mk_join(parts)
+            if undo is not None:
+                if counts is not None:
+                    counts.leave(undo)
+                else:
+                    cs.inc_update(*undo)
+            cache[cols] = node
         else:
-            node = _dyn_split(cols, rows, via, ctx)
-    ctx.cache[cols] = node
-    return node
+            return node         # the stack is empty: node is the root's
 
 
-def _dyn_split(cols: int, rows: int, via, ctx: _Ctx) -> int:
-    """dyndxd's ``_mask_split``, with the components read from ``ctx.cs``:
-    the rows that choosing ``via`` removed leave it in one batch, with
-    their live edges, and come back in one batch once the node is
-    built."""
-    cs, adj = ctx.cs, ctx.adj
-    if via is not None:
-        gone = [r for r in _bits(ctx.masks.conflict[via]) if r in cs]
-        edges = {_edge(r, s) for r in gone for s in adj[r] if s in cs}
-        cs.dec_update(gone, edges)
-    if len(cs) != rows.bit_count():
-        raise AssertionError("component structure out of sync with search")
-    comps = [sum(1 << r for r in c) for c in cs.partition()]
-    node = _mask_split(cols, rows, comps, ctx)
-    if via is not None:
-        cs.inc_update(gone, edges)
-    return node
-
-
-def _mask_split(cols: int, rows: int, comps, ctx: _Ctx) -> int:
-    """Join the components ``comps`` of ``rows`` if there are two or
-    more, else branch on a minimum-size column."""
-    if len(comps) >= 2:
-        return _mask_decomposed(cols, comps, ctx)
-    return _mask_branch(cols, rows, ctx.masks.select_column(cols, rows), ctx)
-
-
-def _mask_branch(cols: int, rows: int, c: int, ctx: _Ctx) -> int:
-    """Branch over the rows of column ``c``, chaining each satisfiable
-    branch into a decision node: each child is a new pair of masks."""
-    t = ctx.masks
-    row_cols, conflict = t.row_cols, t.conflict
-    alpha = BOTTOM
-    todo = t.col_rows[c] & rows
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        r = low.bit_length() - 1
-        beta = _mask_search(cols & ~row_cols[r], rows & ~conflict[r], ctx, r)
-        if beta != BOTTOM:
-            alpha = ctx.store.mk_decision(r, beta, alpha)
-    return alpha
-
-
-def _mask_decomposed(cols: int, comps, ctx: _Ctx) -> int:
-    ctx.stats.add_subs(len(comps))
-    sub_cols = [ctx.masks.columns_of(rows) for rows in comps]
-    if sum(c.bit_count() for c in sub_cols) != cols.bit_count():
-        # some live column interacts no live row; nothing can cover it
-        return BOTTOM
-    return _join([partial(_mask_component, c, rows, ctx)
-                  for c, rows in zip(sub_cols, comps)],
-                 [rows.bit_count() for rows in comps], ctx)
-
-
-def _mask_component(cols: int, rows: int, ctx: _Ctx) -> int:
-    """Search one component; dyndxd with a ComponentSet of its own."""
-    if ctx.cs is not None:
-        ctx = ctx.fork(_component_set(_bits(rows), ctx.adj))
-    return _mask_search(cols, rows, ctx)
+def _mask_component(cols: int, rows: int, ctx: _Ctx):
+    """A worker's search of one component of a join: returns its node and
+    the counters it kept, which the join adds in.  dyndxd's worker starts
+    from a ComponentSet of the component's rows."""
+    ctx = ctx.fork(None if ctx.cs is None
+                   else _component_set(_bits(rows), ctx.adj))
+    return _mask_search(cols, rows, ctx), ctx.stats
 
 
 def _solve_root(inst, ctx: _Ctx) -> int:
@@ -414,10 +416,10 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
     cfg = config if config is not None else SolveConfig()
     if cfg.engine not in ENGINES:
         raise ValueError(f"unknown engine {cfg.engine!r}")
-    if cfg.threads < 1:
-        raise ValueError("threads must be >= 1")
-    if cfg.timeout_s is not None and cfg.timeout_s < 0:
-        raise ValueError("timeout_s must be >= 0")
+    if not isinstance(cfg.threads, int) or cfg.threads < 1:
+        raise ValueError("threads must be an integer >= 1")
+    if cfg.timeout_s is not None and not cfg.timeout_s >= 0:   # NaN too
+        raise ValueError("timeout_s must be a number >= 0")
     t0 = time.perf_counter()
     deadline = (None if cfg.timeout_s is None
                 else time.monotonic() + cfg.timeout_s)
@@ -431,12 +433,7 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         store = NodeStore()
         pool = _Pool(cfg.threads - 1) if cfg.threads > 1 else None
         ctx = _Ctx(cfg.engine, store, {}, stats, pool, deadline, cfg)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4000 + 40 * inst.n_cols))
-        try:
-            root = _solve_root(inst, ctx)
-        finally:
-            sys.setrecursionlimit(limit)
+        root = _solve_root(inst, ctx)
         report = SolveReport(engine=cfg.engine, threads=cfg.threads,
                              count=store.count(root), root=root, store=store,
                              stats=stats, time_ms=0.0,

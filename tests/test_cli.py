@@ -185,7 +185,8 @@ def test_bench_stdout_and_bad_engine(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--threads", "0"],
-                                  ["--timeout-s", "-1"]])
+                                  ["--timeout-s", "-1"],
+                                  ["--timeout-s", "nan"]])
 def test_bench_bad_value_exits_2_before_any_row(tmp_path, capsys, flag):
     d = tmp_path / "corpus"
     d.mkdir()

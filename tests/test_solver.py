@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -73,8 +74,9 @@ def test_condemo_validation(demo):
     assert ENGINES == ("dxz", "dxd", "dyndxd", "oracle")
     with pytest.raises(ValueError):
         run(demo, "dlx")
-    with pytest.raises(ValueError):
-        run(demo, "dxz", threads=0)
+    for threads in (0, 2.5):
+        with pytest.raises(ValueError):
+            run(demo, "dxz", threads=threads)
 
 
 def test_no_cover_instance():
@@ -135,8 +137,9 @@ def test_zero_timeout_raises(demo, engine):
     # timeout_s=0 is a deadline that has already passed, not "no deadline"
     with pytest.raises(SolveTimeout):
         run(demo, engine, timeout_s=0)
-    with pytest.raises(ValueError):
-        run(demo, engine, timeout_s=-1)
+    for timeout_s in (-1, float("nan")):
+        with pytest.raises(ValueError):
+            run(demo, engine, timeout_s=timeout_s)
 
 
 def test_dyndxd_zero_timeout_builds_no_adjacency(demo, monkeypatch):
@@ -350,6 +353,29 @@ def test_deep_ladder_enumerates_without_recursion(demo, reverse):
             assert cols == list(range(big.n_cols))
 
 
+def test_solve_leaves_the_recursion_limit_alone(demo, monkeypatch):
+    # dxz nests 1,231 searched states on block_diagonal(demo, 400); the
+    # search keeps its path on a stack of its own, so no engine sets the
+    # recursion limit, and each runs 200 frames above the caller's depth
+    big = block_diagonal(demo, 400)
+    limit, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+
+    def refuse(n):
+        raise AssertionError("solve set the recursion limit")
+
+    for engine in DIAGRAM_ENGINES:
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        try:
+            assert run(big, engine).count == 4 ** 400
+        finally:
+            monkeypatch.undo()
+        set_limit(len(inspect.stack(0)) + 200)
+        try:
+            assert run(big, engine).count == 4 ** 400
+        finally:
+            set_limit(limit)
+
+
 def test_deep_ladder_enumeration_memory(demo):
     # the ladder's 2400 variables send the root through the cut pass,
     # and its 400 blocks make the family a product of segments: drawing
@@ -392,12 +418,18 @@ def test_ladder_enumeration_memory_is_per_segment(demo):
 
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
 def test_thread_count_invariance(demo, threads):
+    # the components of block_diagonal share no cache key, so the counts
+    # match the single-threaded run exactly: no worker's counts are lost
     big = block_diagonal(demo, 6)
     for engine in ("dxd", "dyndxd"):
+        ref = run(big, engine)
         rep = run(big, engine, threads=threads, spawn_threshold=1)
         assert rep.count == 4 ** 6
         assert rep.store.enumerate(rep.root, limit=5) == \
-            run(big, engine).store.enumerate(run(big, engine).root, limit=5)
+            ref.store.enumerate(ref.root, limit=5)
+        assert (rep.stats.cache_hits, rep.stats.cache_misses,
+                rep.stats.subs) == (ref.stats.cache_hits,
+                                    ref.stats.cache_misses, ref.stats.subs)
         if threads > 1:
             assert rep.stats.spawned > 0
         rep.store.check_canonical()
