@@ -16,7 +16,7 @@ schemas are stable:
 Exit status 0 on success, 2 on usage, I/O, or parse errors.  Bench
 timeouts are reported as TO rows, and an instance an engine refuses
 (the oracle's row limit) as an error row; neither stops the run.  The
-default thread count comes from $XCOVER_THREADS when set.
+default of ``--threads`` comes from $XCOVER_THREADS when set.
 """
 
 from __future__ import annotations
@@ -180,7 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default $XCOVER_THREADS or 1)")
+                       help="processes that may split the search at its root "
+                            "(default $XCOVER_THREADS or 1)")
 
     p = sub.add_parser("count", help="count the exact covers of an instance")
     p.add_argument("file")

@@ -243,6 +243,27 @@ class NodeStore:
             len(closure | kept) if kept else len(closure),
             top or kept_top, bottom or kept_bottom)
 
+    def adopt(self, entries, base: int) -> list:
+        """Intern ``entries``, the nodes another store appended after its
+        first ``base`` ids, which both stores share (as a forked copy
+        does), and return ``ids``: ``ids[n]`` is the id here of that
+        store's node ``n``.  Each entry is rebuilt by the constructors,
+        so the nodes are checked and shared as if built here.  Raises
+        ValueError on an entry that is not a node over earlier ids."""
+        if not 2 <= base <= len(self._entries):
+            raise ValueError(f"base {base} is not a shared prefix")
+        ids = list(range(base))
+        for e in entries:
+            if e[0] == _D and 0 <= e[2] < len(ids) and 0 <= e[3] < len(ids):
+                ids.append(self.mk_decision(e[1], ids[e[2]], ids[e[3]]))
+            elif e[0] == _L:
+                ids.append(self.mk_literal(e[1]))
+            elif e[0] == _X and all(0 <= c < len(ids) for c in e[1]):
+                ids.append(self.mk_decomposable([ids[c] for c in e[1]]))
+            else:
+                raise ValueError(f"not a node over earlier ids: {e!r}")
+        return ids
+
     # -- queries ------------------------------------------------------------
 
     def count(self, n: NodeId) -> int:

@@ -3,8 +3,8 @@
 A subproblem is a pair of ints ``(cols, rows)``: bit c of ``cols`` is
 set while column c is still to be covered, bit r of ``rows`` while row r
 can still be chosen.  Three tables, built once per solve and only read
-afterwards (so worker threads share them), answer every question the
-search asks:
+afterwards (a forked worker inherits them as they are), answer every
+question the search asks:
 
 * ``col_rows[c]``  the rows with a 1 in column c;
 * ``row_cols[r]``  the columns of row r;

@@ -9,9 +9,8 @@ keeps beside the masks.  The search is one loop over an explicit stack
 interpreter's recursion limit, which ``solve`` leaves alone.  A frame is
 a searched state: a branch over the rows of its column, holding the
 chain of decision nodes built so far, or a join of components, holding
-their nodes so far and the futures of those sent to workers.  It also
-holds what entering the state changed beside the masks, to be undone
-once the state's node is built:
+their nodes so far.  It also holds what entering the state changed
+beside the masks, to be undone once the state's node is built:
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
@@ -40,8 +39,8 @@ once the state's node is built:
                entering a searched state, the rows that its row choice
                removed leave the set in one batch (with their incident
                edges), and come back in one batch once the state's node
-               is built.  Each component is searched, inline or on a
-               worker, with a ComponentSet of its own.
+               is built.  Each component is searched with a ComponentSet
+               of its own.
 
 All three apply the rules of dancing links (column choice, row order,
 literal, components in order of their smallest row), so dxd and dyndxd
@@ -53,23 +52,28 @@ reference; no engine calls them.
 The cache key is sound because a row is live exactly when every column
 it interacts is live, so the live-column set determines the subproblem;
 column ids are global even inside components, which lets all components
-(and all worker threads) share one cache and one node store.
+share one cache and one node store.
 
 ``solve`` is the one entry point; ``oracle`` is accepted as a fourth
 engine name and dispatches to the brute-force enumerator for
-ground-truth runs.  Worker threads are spawned only at decomposition
-points, with non-blocking token acquisition so no task ever waits on
-the pool; workers share the solve's mask tables read-only.  A worker
-runs the same loop from its component, with a ``SolveStats`` of its own.
+ground-truth runs.  With ``threads > 1`` the root state alone may split
+(cube and conquer): its children, the rows of its branch or the
+components of its join, that hold at least ``spawn_threshold`` live rows
+are dealt round-robin to the solve's process and to forked worker
+processes.  A worker runs the same loop on its children from its copy of
+the root state, with a cache and counters of its own, and sends back
+their nodes, the nodes it interned and its counters; the parent interns
+those (``NodeStore.adopt``) and builds the root's node as the loop
+would.  Without ``os.fork`` the solve runs inline.
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import partial
 
 from .diagram import BOTTOM, TOP, NodeStore, _bits
 from .dlx import DlxMatrix
@@ -88,14 +92,13 @@ class SolveTimeout(Exception):
 class SolveConfig:
     engine: str = "dxz"
     threads: int = 1
-    spawn_threshold: int = 8    # min component rows to offload to a worker
+    spawn_threshold: int = 512  # min live rows of a root child for a worker
     timeout_s: float | None = None
 
 
 class SolveStats:
-    """Search counters.  A worker thread counts into a ``SolveStats`` of
-    its own, which the join that spawned it adds in, so no counter is
-    shared between threads."""
+    """Search counters.  A worker process counts into a ``SolveStats`` of
+    its own, which the parent adds in with its results."""
 
     def __init__(self):
         self.cache_hits = 0
@@ -116,34 +119,6 @@ class SolveReport:
     nodes: int = 0
 
 
-class _Pool:
-    """Bounded fire-and-forget worker pool.
-
-    ``try_spawn`` either starts a thread immediately or returns None;
-    callers always have the inline fallback, so there is no queue and
-    no way to deadlock on token exhaustion.
-    """
-
-    def __init__(self, tokens: int):
-        self._sem = threading.BoundedSemaphore(tokens)
-
-    def try_spawn(self, fn):
-        if not self._sem.acquire(blocking=False):
-            return None
-        fut = Future()
-
-        def run():
-            try:
-                fut.set_result(fn())
-            except BaseException as exc:
-                fut.set_exception(exc)
-            finally:
-                self._sem.release()
-
-        threading.Thread(target=run, daemon=True).start()
-        return fut
-
-
 class _Ctx:
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
                  "cfg", "cs", "adj", "masks", "counts")
@@ -154,7 +129,7 @@ class _Ctx:
         self.store = store
         self.cache = cache
         self.stats = stats
-        self.pool = pool
+        self.pool = pool        # threads, while the root may still split
         self.deadline = deadline
         self.cfg = cfg
         self.cs = cs            # dyndxd: the ComponentSet of the live rows
@@ -163,10 +138,9 @@ class _Ctx:
         self.counts = None      # dxz: the ColumnCounts of its one search
 
     def fork(self, cs):
-        """A worker's context: counters and component set of its own."""
-        return _Ctx(self.engine, self.store, self.cache, SolveStats(),
-                    self.pool, self.deadline, self.cfg, cs, self.adj,
-                    self.masks)
+        """The context of one component: a ComponentSet of its own."""
+        return _Ctx(self.engine, self.store, self.cache, self.stats, None,
+                    self.deadline, self.cfg, cs, self.adj, self.masks)
 
 
 def bfs_components(m: DlxMatrix) -> list:
@@ -269,24 +243,25 @@ def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
     return _mask_search(cols, rows, ctx)
 
 
-def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
-    """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``.  A frame
+def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
+    """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
+    by choosing row ``via`` (None at a root).  A frame
     of the stack is a list ``[cols, rows, cs, undo, todo, i, node, parts]``:
     ``todo`` is a bitmask of the children not searched yet and ``i`` the
     one being searched.  A branch (``parts`` None) has the rows of its
     column as children and chains each satisfiable one into ``node`` as
     it returns.  A join replaces each of its components in ``parts`` by
-    its node, the ones in ``todo`` searched inline and the others by
-    workers, and runs ``mk_join`` after the last.  A state that ends at
+    its node and runs ``mk_join`` after the last.  A state that ends at
     once (a literal, BOTTOM) is a frame with no children.  ``undo`` is
     dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
     choice removed from ``cs``, the ComponentSet of the state's rows; a
-    join gives each component a ComponentSet of its own."""
+    join gives each component a ComponentSet of its own.  While
+    ``ctx.pool`` is set, the first frame, the root's, may split over
+    worker processes (``_split_root``)."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
-    cs, adj, pool = ctx.cs, ctx.adj, ctx.pool
-    via = None
+    cs, adj, split = ctx.cs, ctx.adj, ctx.pool
     stack = []
     while True:
         # enter (cols, rows), reached by choosing row via (None at a root)
@@ -331,19 +306,13 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
                         todo = (1 << len(parts)) - 1
                     else:
                         parts = None    # a live column interacts no live row
-            if parts is not None and pool is not None:
-                # every component but the first with spawn_threshold rows
-                # goes to a worker if one is free
-                for i in range(1, len(parts)):
-                    c, m = parts[i]
-                    if m.bit_count() < ctx.cfg.spawn_threshold:
-                        continue
-                    fut = pool.try_spawn(partial(_mask_component, c, m, ctx))
-                    if fut is not None:
-                        parts[i] = fut
-                        todo ^= 1 << i
-                        stats.spawned += 1
             stack.append([cols, rows, cs, undo, todo, -1, node, parts])
+            if split is not None:
+                ctx.pool = None         # only the root's frame may split
+                node = _split_root(stack[0], split, ctx)
+                if node is not None:
+                    return node
+                split = None
             node = None
         # give node to its parent frame, and pop each frame that is done,
         # until one has a child left to search
@@ -371,13 +340,6 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
             stack.pop()
             cols, _, cs, undo, _, _, node, parts = f
             if parts is not None:
-                for i, p in enumerate(parts):
-                    if isinstance(p, Future):
-                        parts[i], worker = p.result()
-                        stats.cache_hits += worker.cache_hits
-                        stats.cache_misses += worker.cache_misses
-                        stats.subs += worker.subs
-                        stats.spawned += worker.spawned
                 node = store.mk_join(parts)
             if undo is not None:
                 if counts is not None:
@@ -389,13 +351,125 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx) -> int:
             return node         # the stack is empty: node is the root's
 
 
-def _mask_component(cols: int, rows: int, ctx: _Ctx):
-    """A worker's search of one component of a join: returns its node and
-    the counters it kept, which the join adds in.  dyndxd's worker starts
-    from a ComponentSet of the component's rows."""
-    ctx = ctx.fork(None if ctx.cs is None
-                   else _component_set(_bits(rows), ctx.adj))
-    return _mask_search(cols, rows, ctx), ctx.stats
+def _worker_count(threads: int, qualifying: int, cpus) -> int:
+    """Worker processes for a root split with ``qualifying`` children of
+    ``spawn_threshold`` live rows: fewer than ``threads`` and than the
+    ``cpus`` (but one on a single CPU), and fewer than the children, so
+    that the parent keeps one.  Less than 1 means no split."""
+    return min(threads - 1, max(1, (cpus or 1) - 1), qualifying - 1)
+
+
+def _split_root(frame, threads: int, ctx: _Ctx):
+    """Search the children of the root's ``frame`` over forked worker
+    processes and return the root's node, built as the loop builds it;
+    or return None, leaving the frame to the loop, when fewer than two
+    children hold ``spawn_threshold`` live rows.  Those children are
+    dealt round-robin to this process and the workers; this process
+    also keeps the others.  Every worker is reaped before this returns,
+    and killed first if it leaves by an exception."""
+    cols, rows, _, _, todo, _, _, parts = frame
+    t = ctx.masks
+    if parts is not None:       # a join searches all its components
+        kids = [(i, c, m, None) for i, (c, m) in enumerate(parts)]
+    else:                       # (i, cols, rows, via) per child, ascending
+        kids = []
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            kids.append((i, cols & ~t.row_cols[i], rows & ~t.conflict[i], i))
+    big = [k for k in kids if k[2].bit_count() >= ctx.cfg.spawn_threshold]
+    n = _worker_count(threads, len(big), os.cpu_count())
+    if n < 1:
+        return None
+    shares = [big[w::n + 1] for w in range(1, n + 1)]
+    dealt = {k[0] for share in shares for k in share}
+    store, stats = ctx.store, ctx.stats
+    base = len(store)
+    nodes = {}
+    procs = []                  # [pid, read end of its pipe or None]
+    try:
+        for share in shares:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(r)
+                    _worker(share, base, w, ctx)    # never returns
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            procs.append([pid, r])
+        stats.spawned += n
+        for k in kids:
+            if k[0] not in dealt:
+                nodes[k[0]] = _search_child(k, ctx)
+        for p in procs:
+            with open(p[1], "rb") as f:
+                p[1] = None
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"worker process {p[0]} sent no result")
+            msg = pickle.loads(data)
+            if isinstance(msg, BaseException):
+                raise msg
+            found, entries, worker = msg
+            ids = store.adopt(entries, base)
+            for i, node in found:
+                nodes[i] = ids[node]
+            stats.cache_hits += worker.cache_hits
+            stats.cache_misses += worker.cache_misses
+            stats.subs += worker.subs
+    except BaseException:
+        for pid, _ in procs:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in procs:
+            if fd is not None:
+                os.close(fd)
+            os.waitpid(pid, 0)
+    if parts is not None:
+        node = store.mk_join([nodes[i] for i in range(len(parts))])
+    else:
+        node = BOTTOM
+        for i in sorted(nodes):
+            node = store.mk_decision(i, nodes[i], node)
+    return node
+
+
+def _search_child(kid, ctx: _Ctx) -> int:
+    """The node of one child ``(i, cols, rows, via)`` of the root: a
+    branch's row ``via``, or a component of a join, which dyndxd
+    searches with a ComponentSet of its own."""
+    _, cols, rows, via = kid
+    if via is None and ctx.cs is not None:
+        ctx = ctx.fork(_component_set(_bits(rows), ctx.adj))
+    return _mask_search(cols, rows, ctx, via)
+
+
+def _worker(kids, base: int, fd: int, ctx: _Ctx):
+    """A forked worker's life: search ``kids`` from the forked root state
+    with counters of its own, pickle to ``fd`` their nodes, the nodes
+    interned since the store held ``base`` and the counters (or the
+    exception raised), and exit without returning."""
+    code = 1
+    try:
+        try:
+            ctx.stats = SolveStats()
+            found = [(k[0], _search_child(k, ctx)) for k in kids]
+            store = ctx.store
+            msg = (found, [store.entry(n) for n in range(base, len(store))],
+                   ctx.stats)
+        except BaseException as exc:
+            msg = exc
+        data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _solve_root(inst, ctx: _Ctx) -> int:
@@ -431,8 +505,9 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
                              stats=stats, time_ms=0.0)
     else:
         store = NodeStore()
-        pool = _Pool(cfg.threads - 1) if cfg.threads > 1 else None
-        ctx = _Ctx(cfg.engine, store, {}, stats, pool, deadline, cfg)
+        split = (cfg.threads if cfg.threads > 1 and hasattr(os, "fork")
+                 else None)
+        ctx = _Ctx(cfg.engine, store, {}, stats, split, deadline, cfg)
         root = _solve_root(inst, ctx)
         report = SolveReport(engine=cfg.engine, threads=cfg.threads,
                              count=store.count(root), root=root, store=store,

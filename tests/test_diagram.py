@@ -465,6 +465,39 @@ def test_load_dump_names_a_malformed_line(line):
         load_dump("0 B\n1 T\n5 L 3\n" + line + "\n")
 
 
+def test_adopt_reinterns_a_copy_appended_after_a_shared_prefix():
+    s = NodeStore()
+    shared = family_node(s, [{0}, {1}], 2)
+    base = len(s)
+    copy = NodeStore()
+    copy_ids = copy.adopt([s.entry(n) for n in range(2, base)], 2)
+    # a forked copy goes on from the shared prefix, as does the original
+    right = family_node(copy, [{2, 3}, {4}], 5)
+    root = copy.mk_decomposable([copy_ids[shared], right])
+    s.mk_literal(9)         # the original appends nodes of its own meanwhile
+    ids = s.adopt([copy.entry(n) for n in range(base, len(copy))], base)
+    assert ids[:base] == list(range(base))
+    assert s.enumerate(ids[root]) == copy.enumerate(root)
+    s.check_canonical()
+    # adopting the same nodes again finds them all interned
+    size = len(s)
+    assert s.adopt([copy.entry(n) for n in range(base, len(copy))],
+                   base) == ids
+    assert len(s) == size
+
+
+@pytest.mark.parametrize("entries, base", [
+    ([("D", 0, 5, 0)], 2),      # a child not defined before
+    ([("X", (-1, 1))], 2),      # a negative id
+    ([("T",)], 2),              # a terminal
+    ([("L", 0)], 1),            # BOTTOM and TOP are always shared
+    ([("L", 0)], 3),            # a prefix longer than the store
+])
+def test_adopt_rejects_what_is_not_a_node(entries, base):
+    with pytest.raises(ValueError):
+        NodeStore().adopt(entries, base)
+
+
 def test_export_dot():
     s = NodeStore()
     lit1 = s.mk_literal(1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import xcover
+from xcover import solver
 from xcover.diagram import NodeStore
 from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
@@ -21,7 +22,8 @@ from xcover.masks import ColumnCounts
 from xcover.oracle import count_covers, enumerate_covers
 from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _component_set, _Ctx, _row_adjacency, _search,
-                           bfs_components, decompose_matrix, solve)
+                           _worker_count, bfs_components, decompose_matrix,
+                           solve)
 
 from conftest import (DEMO_COVERS, dlx_search, pentomino_instance,
                       random_instance)
@@ -433,6 +435,121 @@ def test_thread_count_invariance(demo, threads):
         if threads > 1:
             assert rep.stats.spawned > 0
         rep.store.check_canonical()
+
+
+def test_worker_count_is_capped_by_cpus_and_children(monkeypatch):
+    def no_fork():
+        raise AssertionError("the worker count started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    cpus = os.cpu_count()
+    assert 1 <= _worker_count(10 ** 6, 10 ** 6, cpus) <= max(1, cpus - 1)
+    assert _worker_count(10 ** 6, 10 ** 6, None) == 1
+    assert _worker_count(10 ** 6, 10 ** 6, 1) == 1
+    assert _worker_count(10 ** 6, 10 ** 6, 64) == 63
+    assert _worker_count(2, 18, 64) == 1
+    assert _worker_count(10 ** 6, 3, 64) == 2       # the parent keeps one
+    assert _worker_count(1, 18, 64) < 1             # threads=1: no split
+    assert _worker_count(8, 1, 64) < 1              # one child: no split
+
+
+def _pentomino_threads(engine, threads):
+    return run(pentomino_instance(), engine, threads=threads)
+
+
+@pytest.mark.parametrize("engine", ["dxd", "dxz"])
+def test_root_split_matches_one_process(engine):
+    # pentomino 3x20's root branches over 18 rows of 899-1036 live rows:
+    # they are dealt to this process and a forked worker
+    ref = _pentomino_threads(engine, 1)
+    rep = _pentomino_threads(engine, 2)
+    assert (rep.count, rep.nodes) == (ref.count, ref.nodes) == (8, 75)
+    assert rep.stats.spawned >= 1 and ref.stats.spawned == 0
+    assert rep.store.enumerate(rep.root) == ref.store.enumerate(ref.root)
+    # node ids differ between the two stores; interned into one store,
+    # the two diagrams are the same node
+    both = NodeStore()
+    roots = []
+    for r in (ref, rep):
+        ids = both.adopt([r.store.entry(n) for n in range(2, len(r.store))], 2)
+        roots.append(ids[r.root])
+    assert roots[0] == roots[1]
+    both.check_canonical()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_no_worker_outlives_a_failed_solve(monkeypatch, side):
+    # a timeout in a worker reaches the solve; one in the parent kills
+    # its worker, which would search on for 30 s; neither leaves a child
+    me = os.getpid()
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def check(ctx):
+        if os.getpid() != me:
+            if side == "worker":
+                raise SolveTimeout
+            if not forked:      # a worker that would outlast the solve
+                forked.append(None)
+                time.sleep(30)
+        elif side == "parent" and forked:
+            raise SolveTimeout
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(solver, "_check_deadline", check)
+    t0 = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        _pentomino_threads("dxd", 2)
+    assert time.monotonic() - t0 < 15
+    assert forked
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors in /proc")
+def test_failed_fork_closes_its_pipe(monkeypatch):
+    def failing_fork():
+        raise OSError("no more processes")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError, match="no more processes"):
+        _pentomino_threads("dxd", 2)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_no_fork_runs_inline(monkeypatch):
+    ref = _pentomino_threads("dxd", 1)
+    monkeypatch.delattr(os, "fork")
+    rep = _pentomino_threads("dxd", 2)
+    assert rep.stats.spawned == 0
+    assert (rep.count, rep.nodes) == (ref.count, ref.nodes)
+    assert rep.store.dump(rep.root) == ref.store.dump(ref.root)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses) == \
+        (ref.stats.cache_hits, ref.stats.cache_misses)
+
+
+def test_small_root_children_stay_inline(demo):
+    # below spawn_threshold live rows a child is not worth a fork, so
+    # threads=2 is threads=1, node for node
+    big = block_diagonal(demo, 6)
+    for engine in DIAGRAM_ENGINES:
+        ref = run(big, engine)
+        rep = run(big, engine, threads=2)
+        assert rep.stats.spawned == 0
+        assert rep.store.dump(rep.root) == ref.store.dump(ref.root)
+    _no_child_left()
 
 
 @given(st.integers(0, 10 ** 6))
