@@ -31,7 +31,6 @@ the zero-suppression rules:
 from __future__ import annotations
 
 import heapq
-import threading
 from bisect import bisect_left
 from itertools import chain, compress, islice
 from typing import NamedTuple
@@ -62,16 +61,14 @@ class _ChainPart(NamedTuple):
 class NodeStore:
     """Arena of hash-consed diagram nodes.
 
-    Thread safe for concurrent construction: interning takes a lock.
-    Queries (count, enumerate, node_count, ...) are meant for a
-    quiescent store.
+    Nodes are only ever appended, so a node id stays valid for the life
+    of the store.
     """
 
     def __init__(self):
         self._entries = [(_B,), (_T,)]
         self._vars = [0, 0]     # per node: bitmask of the variables under it
         self._unique = {(_B,): BOTTOM, (_T,): TOP}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -87,14 +84,13 @@ class NodeStore:
         return _bits(self._vars[n])
 
     def _intern(self, key: tuple, mask: int) -> NodeId:
-        with self._lock:
-            n = self._unique.get(key)
-            if n is None:
-                n = len(self._entries)
-                self._entries.append(key)
-                self._vars.append(mask)
-                self._unique[key] = n
-            return n
+        n = self._unique.get(key)
+        if n is None:
+            n = len(self._entries)
+            self._entries.append(key)
+            self._vars.append(mask)
+            self._unique[key] = n
+        return n
 
     # -- constructors -------------------------------------------------------
 

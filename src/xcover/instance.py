@@ -32,6 +32,8 @@ start with ``#`` (so that serialized files parse back unambiguously).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import lt
 
 
 class ParseError(ValueError):
@@ -43,9 +45,36 @@ class ParseError(ValueError):
 
 
 def _valid_name(name: str) -> bool:
-    if not name or name.startswith("#"):
+    # str.split() splits on exactly the characters str.isspace() accepts
+    return name.split() == [name] and ":" not in name and name[0] != "#"
+
+
+def _valid_names(names) -> bool:
+    """Whether every name is valid, checked on all of them at once: joined
+    by spaces, valid names split back into themselves."""
+    joined = " ".join(names)
+    return (joined.split() == list(names) and ":" not in joined
+            and not joined.startswith("#") and " #" not in joined)
+
+
+def _increasing(cols) -> bool:
+    return all(map(lt, cols, cols[1:]))
+
+
+def _rows_valid(rows, n: int) -> bool:
+    """Whether every row is a pair of a valid, unique name and a non-empty,
+    strictly increasing tuple of column indices in ``range(n)``, checked
+    in whole-instance passes.  Any other outcome, an exception included,
+    leaves the diagnosis to the row-by-row loop."""
+    try:
+        names, cols = zip(*rows, strict=True)
+        if not (_valid_names(names) and len(set(names)) == len(names)
+                and all(cols)):
+            return False
+        flat = list(chain.from_iterable(cols))
+        return min(flat) >= 0 and max(flat) < n and all(map(_increasing, cols))
+    except (TypeError, ValueError):
         return False
-    return not any(ch.isspace() or ch == ":" for ch in name)
 
 
 @dataclass(frozen=True)
@@ -62,11 +91,17 @@ class Instance:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("instance needs at least one column")
-        for name in self.columns:
-            if not _valid_name(name):
-                raise ValueError(f"bad column name {name!r}")
+        if not _valid_names(self.columns):
+            for name in self.columns:
+                if not _valid_name(name):
+                    raise ValueError(f"bad column name {name!r}")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column name")
+        if self.rows and not _rows_valid(self.rows, len(self.columns)):
+            self._diagnose_rows()
+
+    def _diagnose_rows(self):
+        """Raise the error of the first faulty row, one row at a time."""
         seen = set()
         n = len(self.columns)
         for name, cols in self.rows:
@@ -127,27 +162,31 @@ def _parse_xc(text: str) -> Instance:
         if name in col_index:
             raise ParseError(header_no, f"duplicate column name {name!r}")
         col_index[name] = len(col_index)
+    find = col_index.__getitem__
     rows = []
     row_names = set()
     for lineno, line in lines:
-        name, sep, rest = line.partition(":")
+        head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(lineno, "expected '<rowname>: <col> ...'")
-        name = name.strip()
+        # A valid row name is the one word before the first ':'; a leading
+        # '#' would have made the line a comment.
+        try:
+            (name,) = head.split()
+        except ValueError:
+            raise ParseError(lineno, f"bad row name {head.strip()!r}") from None
         if name in row_names:
             raise ParseError(lineno, f"duplicate row name {name!r}")
         row_names.add(name)
         refs = rest.split()
         if not refs:
             raise ParseError(lineno, f"row {name!r} is empty")
-        cols = []
-        for ref in refs:
-            if ref not in col_index:
-                raise ParseError(lineno, f"unknown column reference {ref!r}")
-            cols.append(col_index[ref])
-        rows.append((name, cols))
-    try:
-        return Instance.build(columns, rows)
+        try:
+            rows.append((name, tuple(sorted(set(map(find, refs))))))
+        except KeyError as exc:
+            raise ParseError(lineno, f"unknown column reference {exc.args[0]!r}") from None
+    try:   # only the column names are left unchecked
+        return Instance(tuple(columns), tuple(rows))
     except ValueError as exc:
         raise ParseError(header_no, str(exc)) from None
 

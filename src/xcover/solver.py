@@ -120,6 +120,27 @@ class SolveReport:
 
 
 class _Ctx:
+    """What one search reads and writes besides its explicit stack.
+
+    * ``engine``: "dxz", "dxd" or "dyndxd".
+    * ``store``: the ``NodeStore`` the search interns its nodes into.
+    * ``cache``: the node of each searched state, keyed by its column mask.
+    * ``stats``: the ``SolveStats`` the search counts into.
+    * ``pool``: the thread count while the root may still split over
+      worker processes (``_split_root``).  None once the root's frame is
+      pushed, when ``threads`` is 1 or ``os.fork`` is missing, in the
+      contexts of ``fork``, and in those that criterion 9 builds by hand.
+      The slot keeps its place, fifth, because criterion 9 passes it
+      positionally.
+    * ``deadline``: the ``time.monotonic()`` past which the search raises
+      ``SolveTimeout``, or None.
+    * ``cfg``: the ``SolveConfig`` of the solve.
+    * ``cs``, ``adj``: dyndxd only, the ComponentSet of the live rows and
+      the row adjacency it was built from; None for dxz and dxd.
+    * ``masks``: the ``MaskTables`` of the solve, set by ``_mask_root``.
+    * ``counts``: dxz only, the ``ColumnCounts`` of its one search.
+    """
+
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
                  "cfg", "cs", "adj", "masks", "counts")
 
@@ -129,13 +150,13 @@ class _Ctx:
         self.store = store
         self.cache = cache
         self.stats = stats
-        self.pool = pool        # threads, while the root may still split
+        self.pool = pool
         self.deadline = deadline
         self.cfg = cfg
-        self.cs = cs            # dyndxd: the ComponentSet of the live rows
-        self.adj = adj          # dyndxd: the row adjacency of the solve
-        self.masks = masks      # the MaskTables of the solve
-        self.counts = None      # dxz: the ColumnCounts of its one search
+        self.cs = cs
+        self.adj = adj
+        self.masks = masks
+        self.counts = None
 
     def fork(self, cs):
         """The context of one component: a ComponentSet of its own."""

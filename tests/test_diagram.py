@@ -1,7 +1,6 @@
 import itertools
 import re
 import sys
-import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -552,23 +551,3 @@ def test_check_canonical_requires_smaller_child_ids():
         s.check_canonical()
     with pytest.raises(AssertionError, match="child id not smaller"):
         s.validate(bad)
-
-
-def test_concurrent_interning_is_consistent():
-    s = NodeStore()
-    fam = [{0, 2}, {1, 3}, {2, 5}, {0, 1, 4}, {3}, {4, 5}, set()]
-    barrier = threading.Barrier(6)
-    roots = []
-
-    def work():
-        barrier.wait()
-        roots.append(family_node(s, fam, 6))
-
-    threads = [threading.Thread(target=work) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(roots)) == 1
-    assert s.count(roots[0]) == len(fam)
-    s.check_canonical()

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from xcover.instance import Instance, ParseError, parse_instance, serialize_instance
+from xcover.instance import (Instance, ParseError, _valid_name, parse_instance,
+                             serialize_instance)
 
 from conftest import DEMO_MATRIX, DEMO_XC, random_instance
 
@@ -49,6 +51,8 @@ def test_rows_of_column(demo):
     ("1 1\nA: 1\n", 1),          # duplicate column name
     ("1 2\nA:\n", 2),            # empty row
     ("1 2\njust garbage\n", 2),  # missing separator
+    ("1 2\nA B: 1\n", 2),        # row name holding whitespace
+    ("1 2\n: 1\n", 2),           # empty row name
 ])
 def test_parse_xc_errors_carry_line(text, lineno):
     with pytest.raises(ParseError) as err:
@@ -77,6 +81,61 @@ def test_build_normalizes_row_columns():
 def test_construction_rejects_empty_universe():
     with pytest.raises(ValueError):
         Instance((), ())
+
+
+@pytest.mark.parametrize("columns, rows, message", [
+    (("a", ""), (), "bad column name ''"),
+    (("a", "b c"), (), "bad column name 'b c'"),
+    (("a\tb",), (), r"bad column name 'a\tb'"),
+    (("a\u00a0b",), (), r"bad column name 'a\xa0b'"),
+    (("a\u2028b",), (), r"bad column name 'a\u2028b'"),
+    (("a", "b:c"), (), "bad column name 'b:c'"),
+    (("a", "#b"), (), "bad column name '#b'"),
+    (("a", "b", "a"), (), "duplicate column name"),
+    (("a", "b"), (("R", (0,)), ("S T", (1,))), "bad row name 'S T'"),
+    (("a", "b"), (("R:", (0,)),), "bad row name 'R:'"),
+    (("a", "b"), (("#R", (0,)),), "bad row name '#R'"),
+    (("a", "b"), (("", (0,)),), "bad row name ''"),
+    (("a", "b"), (("R", (0,)), ("R", (1,))), "duplicate row name 'R'"),
+    (("a", "b"), (("R", (0,)), ("S", ())), "row 'S' is empty"),
+    (("a", "b"), (("R", (-1, 0)),), "row 'R' references a column out of range"),
+    (("a", "b"), (("R", (0, 2)),), "row 'R' references a column out of range"),
+    (("a", "b"), (("R", (1, 0)),), "row 'R' columns not strictly increasing"),
+    (("a", "b"), (("R", (1, 1)),), "row 'R' columns not strictly increasing"),
+])
+def test_construction_error_messages(columns, rows, message):
+    with pytest.raises(ValueError) as err:
+        Instance(columns, rows)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    # two faults in one row: the first check in the order above wins
+    ((("R T", ()),), "bad row name 'R T'"),
+    ((("R", (0,)), ("R", ())), "duplicate row name 'R'"),
+    ((("R", (3, 0)),), "row 'R' references a column out of range"),
+    # faults in two rows: the first row wins, whatever its fault
+    ((("R", (1, 0)), ("S T", (0,))), "row 'R' columns not strictly increasing"),
+    ((("R", (0, 5)), ("S", ())), "row 'R' references a column out of range"),
+])
+def test_construction_reports_the_first_fault(rows, message):
+    with pytest.raises(ValueError) as err:
+        Instance(("a", "b"), rows)
+    assert str(err.value) == message
+
+
+def test_name_rule_rejects_exactly_whitespace_and_colon():
+    """The name rule agrees with ``str.isspace`` on every code point."""
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    rejected = [ch for ch in chars if not _valid_name("a" + ch)]
+    assert rejected == [ch for ch in chars if ch.isspace() or ch == ":"]
+    # a whole universe of valid names passes; each bad one is named
+    good = [f"a{ch}" for ch in chars if not (ch.isspace() or ch == ":")]
+    assert Instance(tuple(good), ()).n_cols == len(good)
+    for ch in rejected:
+        with pytest.raises(ValueError) as err:
+            Instance(("a", "b" + ch, "c"), ())
+        assert str(err.value) == f"bad column name {'b' + ch!r}"
 
 
 def test_xc_round_trip_preserves_text(demo):
