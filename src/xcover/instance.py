@@ -32,8 +32,8 @@ start with ``#`` (so that serialized files parse back unambiguously).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import lt
+from itertools import accumulate, chain, count
+from operator import add, lt
 
 
 class ParseError(ValueError):
@@ -162,6 +162,12 @@ def _parse_xc(text: str) -> Instance:
         if name in col_index:
             raise ParseError(header_no, f"duplicate column name {name!r}")
         col_index[name] = len(col_index)
+    # the header's names are split words already, and the header does not
+    # start with '#': only a ':', or a name that starts with '#' (a " #"
+    # once the names are joined by spaces), can make one bad
+    if ":" in header or ("#" in header and " #" in " ".join(columns)):
+        bad = next(name for name in columns if not _valid_name(name))
+        raise ParseError(header_no, f"bad column name {bad!r}")
     find = col_index.__getitem__
     rows = []
     row_names = set()
@@ -185,10 +191,18 @@ def _parse_xc(text: str) -> Instance:
             rows.append((name, tuple(sorted(set(map(find, refs))))))
         except KeyError as exc:
             raise ParseError(lineno, f"unknown column reference {exc.args[0]!r}") from None
-    try:   # only the column names are left unchecked
-        return Instance(tuple(columns), tuple(rows))
-    except ValueError as exc:
-        raise ParseError(header_no, str(exc)) from None
+    return Instance(tuple(columns), tuple(rows))
+
+
+_BITS = frozenset("01")
+
+
+def _ones(bits) -> tuple:
+    """The positions of the "1"s among ``bits``, all "0" or "1", without
+    a Python step per cell: the k-th 1 follows k earlier 1s and the 0s of
+    the k + 1 gaps before it."""
+    gaps = "".join(bits).split("1")[:-1]
+    return tuple(map(add, accumulate(map(len, gaps)), count()))
 
 
 def _parse_matrix(text: str) -> Instance:
@@ -210,15 +224,15 @@ def _parse_matrix(text: str) -> Instance:
         except StopIteration:
             raise ParseError(header_no, f"expected {n_rows} matrix rows") from None
         bits = line.split()
-        if len(bits) != n_cols or any(b not in ("0", "1") for b in bits):
+        if len(bits) != n_cols or not _BITS.issuperset(bits):
             raise ParseError(lineno, f"expected {n_cols} 0/1 entries")
-        cols = [c for c, b in enumerate(bits) if b == "1"]
+        cols = _ones(bits)
         if not cols:
             raise ParseError(lineno, f"row R{i + 1} is empty")
         rows.append((f"R{i + 1}", cols))
     for lineno, _ in lines:
         raise ParseError(lineno, "trailing content after matrix rows")
-    return Instance.build([f"C{c + 1}" for c in range(n_cols)], rows)
+    return Instance(tuple(f"C{c + 1}" for c in range(n_cols)), tuple(rows))
 
 
 def parse_instance(source, fmt: str = "xc") -> Instance:

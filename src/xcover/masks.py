@@ -10,6 +10,13 @@ question the search asks:
 * ``row_cols[r]``  the columns of row r;
 * ``conflict[r]``  the rows sharing a column with r, r included.
 
+One more list, ``starver[r]``, is the one field the search writes: the
+column that last left a child of row r with no live row, or -1.  A
+child of r in which that column is still live and still has no live row
+is a dead end, found with one test instead of a scan over its columns.
+The memo is only ever checked against the child's own masks, so it can
+make a search faster but never changes its result, whatever it holds.
+
 Choosing row r turns ``(cols, rows)`` into
 ``(cols & ~row_cols[r], rows & ~conflict[r])``.  The parent pair is left
 as it was, so nothing is ever undone, and a component of the live rows
@@ -27,14 +34,15 @@ chosen row can have changed them.  Before that recount, a child in which
 the chosen row left some live column without a live row is found by
 ``ColumnCounts.starved`` and ends at once, as dancing links backtracks
 on an empty column; on pentomino 3x20 that is 11,621 of the 16,918
-non-root states that dxz searches.
+non-root states that dxz searches, and the ``starver`` memo finds the
+empty column of 8,541 of them with one test.
 """
 
 from __future__ import annotations
 
 
 class MaskTables:
-    __slots__ = ("col_rows", "row_cols", "conflict")
+    __slots__ = ("col_rows", "row_cols", "conflict", "starver")
 
     def __init__(self, n_cols: int, rows):
         """``rows`` yields ``(row_id, column_ids)`` pairs; every column id
@@ -59,6 +67,7 @@ class MaskTables:
         self.col_rows = col_rows
         self.row_cols = row_cols
         self.conflict = conflict
+        self.starver = [-1] * n_rows
 
     @classmethod
     def from_instance(cls, inst) -> "MaskTables":
@@ -143,9 +152,11 @@ class ColumnCounts:
     that was branched on, and the parent's chosen column had the fewest
     rows, so every column of the parent had a row; only the columns of
     ``reach[r]`` lose rows when r is chosen, so only they can starve.
+    It first tests the column in the tables' ``starver[r]``, and stores
+    there the empty column that a scan finds.
     """
 
-    __slots__ = ("col_rows", "size", "bucket", "reach")
+    __slots__ = ("col_rows", "size", "bucket", "reach", "starver")
 
     def __init__(self, tables: MaskTables, rows: int):
         """Counts of every column of ``tables`` against the live ``rows``."""
@@ -169,6 +180,7 @@ class ColumnCounts:
         self.size = size
         self.bucket = bucket
         self.reach = reach
+        self.starver = tables.starver
 
     def select(self, cols: int) -> int:
         """Column of ``cols`` with the fewest live rows; ties break to the
@@ -184,10 +196,16 @@ class ColumnCounts:
         from a state whose every column had a row, has a column with no
         row; stops at the first such column."""
         col_rows = self.col_rows
+        # tested in this order: shifting a wide ``cols`` costs the most
+        c = self.starver[r]
+        if c >= 0 and not col_rows[c] & rows and cols >> c & 1:
+            return True
         todo = self.reach[r] & cols
         while todo:
             low = todo & -todo
-            if not col_rows[low.bit_length() - 1] & rows:
+            c = low.bit_length() - 1
+            if not col_rows[c] & rows:
+                self.starver[r] = c
                 return True
             todo ^= low
         return False

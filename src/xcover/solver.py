@@ -19,7 +19,9 @@ beside the masks, to be undone once the state's node is built:
                A searched state in which the row choice left a live
                column without a live row is BOTTOM at once
                (``ColumnCounts.starved``), before any recount, as
-               dancing links backtracks on an empty column.
+               dancing links backtracks on an empty column.  The column
+               that last starved a child of each row is remembered
+               (``MaskTables.starver``) and tested first.
 * ``dxd``      additionally short-circuits a single row that covers
                everything to a literal, and when the live rows fall
                into >= 2 connected components of the primal graph
@@ -27,6 +29,11 @@ beside the masks, to be undone once the state's node is built:
                fill over per-row conflict masks), solves the components
                separately and joins them; output is zero-suppressed
                decision-DNNF.
+               A state that does not split first tests the column in
+               ``MaskTables.starver`` for its row choice, and ends with
+               no column scan if that column is live without a row; it
+               tests after the flood fill, so its decompositions stay
+               those of dancing links.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -281,6 +288,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     worker processes (``_split_root``)."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
+    starver = t.starver
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
     stack = []
@@ -318,7 +326,13 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                             "component structure out of sync with search")
                     comps = [sum(1 << r for r in c) for c in cs.partition()]
                 if len(comps) < 2:
-                    todo = col_rows[t.select_column(cols, rows)] & rows
+                    # after the flood fill, so that subs stay dlx's
+                    c = -1 if via is None else starver[via]
+                    if c < 0 or col_rows[c] & rows or not cols >> c & 1:
+                        c = t.select_column(cols, rows)
+                        todo = col_rows[c] & rows
+                        if not todo and via is not None:
+                            starver[via] = c
                 else:
                     stats.subs += len(comps)
                     parts = [(t.columns_of(m), m) for m in comps]
@@ -406,6 +420,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
     dealt = {k[0] for share in shares for k in share}
     store, stats = ctx.store, ctx.stats
     base = len(store)
+    parent, prctl = os.getpid(), _prctl()
     nodes = {}
     procs = []                  # [pid, read end of its pipe or None]
     try:
@@ -415,7 +430,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
                 pid = os.fork()
                 if pid == 0:
                     os.close(r)
-                    _worker(share, base, w, ctx)    # never returns
+                    _worker(share, base, w, ctx, parent, prctl)  # exits
             except BaseException:
                 os.close(r)
                 raise
@@ -470,13 +485,36 @@ def _search_child(kid, ctx: _Ctx) -> int:
     return _mask_search(cols, rows, ctx, via)
 
 
-def _worker(kids, base: int, fd: int, ctx: _Ctx):
+_PR_SET_PDEATHSIG = 1
+
+
+def _prctl():
+    """Linux's ``prctl`` through ctypes, which only a solve that forks
+    imports; None where the C library has none."""
+    import ctypes
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError):
+        return None
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+def _worker(kids, base: int, fd: int, ctx: _Ctx, parent: int, prctl):
     """A forked worker's life: search ``kids`` from the forked root state
     with counters of its own, pickle to ``fd`` their nodes, the nodes
     interned since the store held ``base`` and the counters (or the
-    exception raised), and exit without returning."""
+    exception raised), and exit without returning.  The worker is killed
+    when its ``parent`` dies, even by a signal that the parent cannot
+    catch (``prctl``, where there is one); a parent that died before the
+    request was made is seen in ``os.getppid``."""
     code = 1
     try:
+        if prctl is not None:
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() != parent:
+            return
         try:
             ctx.stats = SolveStats()
             found = [(k[0], _search_child(k, ctx)) for k in kids]

@@ -53,6 +53,8 @@ def test_rows_of_column(demo):
     ("1 2\njust garbage\n", 2),  # missing separator
     ("1 2\nA B: 1\n", 2),        # row name holding whitespace
     ("1 2\n: 1\n", 2),           # empty row name
+    ("a:b c\nA: zz\n", 1),       # bad column name before a bad row
+    ("a #b\nA B: a\n", 1),
 ])
 def test_parse_xc_errors_carry_line(text, lineno):
     with pytest.raises(ParseError) as err:
@@ -61,16 +63,34 @@ def test_parse_xc_errors_carry_line(text, lineno):
     assert f"line {lineno}:" in str(err.value)
 
 
-@pytest.mark.parametrize("text", [
-    "0 0\n",
-    "2 2\n1 0\n",            # missing a row
-    "1 2\n1 2\n",            # non-binary entry
-    "1 2\n0 0\n",            # all-zero row
-    "1 2\n1 0\nextra\n",     # trailing content
-])
+MATRIX_ERRORS = {
+    "": "line 1: empty file",
+    "0 0\n": "line 1: instance needs at least one column",
+    "x\n": "line 1: expected '<nrows> <ncols>'",
+    "2 2\n1 0\n": "line 1: expected 2 matrix rows",      # missing a row
+    "1 2\n1 2\n": "line 2: expected 2 0/1 entries",       # non-binary
+    "1 2\n1 01\n": "line 2: expected 2 0/1 entries",      # a long cell
+    "1 2\n1 \u0661\n": "line 2: expected 2 0/1 entries",  # a digit, not 1
+    "1 2\n1\n": "line 2: expected 2 0/1 entries",         # too few
+    "1 2\n1 0 1\n": "line 2: expected 2 0/1 entries",     # too many
+    "1 2\n0 0\n": "line 2: row R1 is empty",
+    "1 2\n# c\n0 0\n": "line 3: row R1 is empty",
+    "1 2\n1 0\nextra\n": "line 3: trailing content after matrix rows",
+}
+
+
+@pytest.mark.parametrize("text", list(MATRIX_ERRORS))
 def test_parse_matrix_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_instance(text, "matrix")
+    assert str(err.value) == MATRIX_ERRORS[text]
+
+
+def test_parse_matrix_cells():
+    # any whitespace separates cells; a row's columns are its 1s, in order
+    text = "3 4\n1\t0  1 0\n\n0 1 0 1\n1 1 1 1\n"
+    assert [cols for _, cols in parse_instance(text, "matrix").rows] == \
+        [(0, 2), (1, 3), (0, 1, 2, 3)]
 
 
 def test_build_normalizes_row_columns():

@@ -101,11 +101,13 @@ def test_column_counts_follow_a_random_descent(seed):
         assert (counts.size, counts.bucket) == saved
 
 
-@given(st.integers(0, 10 ** 6))
-def test_starved_children_along_a_random_descent(seed):
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_starved_children_along_a_random_descent(seed, scramble):
     # at each state of a random descent, every child (one per row of the
     # chosen column) is starved exactly when a live column has no live
-    # row: by popcount, and by dancing links choosing a column of size 0
+    # row: by popcount, and by dancing links choosing a column of size 0;
+    # with ``scramble``, every row's starver memo is first set to an
+    # arbitrary column, live or dead, with rows or without
     rng = random.Random(seed)
     inst = random_instance(rng, max_rows=14, max_cols=10)
     if rng.random() < 0.5:
@@ -115,6 +117,9 @@ def test_starved_children_along_a_random_descent(seed):
     cols, rows = (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1
     counts = ColumnCounts(t, rows)
     while cols:
+        if scramble:
+            t.starver[:] = [rng.randrange(-1, inst.n_cols)
+                            for _ in t.starver]
         c = counts.select(cols)
         fed = []
         for r in bits(t.col_rows[c] & rows):

@@ -2,11 +2,14 @@ import gc
 import inspect
 import os
 import random
+import select
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +21,7 @@ from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
 from xcover.instance import Instance, serialize_instance
-from xcover.masks import ColumnCounts
+from xcover.masks import ColumnCounts, MaskTables
 from xcover.oracle import count_covers, enumerate_covers
 from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _component_set, _Ctx, _row_adjacency, _search,
@@ -272,10 +275,21 @@ def test_block_diagonal_product_counts(demo):
         assert rep.stats.subs >= 10
 
 
-def test_pentomino_dxd_search_pinned():
+def test_pentomino_dxd_search_pinned(monkeypatch):
+    # of its 16,933 searched states, dxd scans the columns of at most
+    # 8,400: the starver memo ends most dead ends after one test
+    calls = [0]
+    select_column = MaskTables.select_column
+
+    def counted(self, *args):
+        calls[0] += 1
+        return select_column(self, *args)
+
+    monkeypatch.setattr(MaskTables, "select_column", counted)
     rep = run(pentomino_instance(), "dxd")
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 8)
     assert rep.stats.cache_misses == 16933
+    assert calls[0] <= 8400
 
 
 def test_pentomino_dxz_search_pinned(pentomino_dxz):
@@ -322,6 +336,37 @@ def masks_agree_with_dlx(inst):
 def test_mask_kernel_matches_dlx_on_demo(demo):
     masks_agree_with_dlx(demo)
     masks_agree_with_dlx(block_diagonal(demo, 5))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_any_starver_memo_leaves_every_engine_unchanged(seed):
+    # the memo is only checked against a child's own masks, so whatever it
+    # holds, each engine builds the diagram and cache traffic of
+    # dancing links and of a run with a fresh memo
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    if rng.random() < 0.5:
+        inst = block_diagonal(inst, rng.randint(2, 3))
+
+    class Scrambled(MaskTables):
+        # every row's memo starts as an arbitrary column, live or dead,
+        # with rows or without
+        __slots__ = ()
+
+        def __init__(self, n_cols, rows):
+            super().__init__(n_cols, rows)
+            self.starver = [rng.randrange(-1, n_cols) for _ in self.starver]
+
+    for engine in DIAGRAM_ENGINES:
+        fresh = run(inst, engine)
+        with mock.patch.object(solver, "MaskTables", Scrambled):
+            rep = run(inst, engine)
+        store, root, traffic = dlx_search(inst, decompose=engine != "dxz")
+        for r in (fresh, rep):
+            assert r.store.dump(r.root) == store.dump(root)
+            assert r.count == store.count(root)
+            assert (r.stats.subs, r.stats.cache_hits,
+                    r.stats.cache_misses) == traffic
 
 
 @given(st.integers(0, 10 ** 6))
@@ -514,6 +559,68 @@ def test_no_worker_outlives_a_failed_solve(monkeypatch, side):
     assert time.monotonic() - t0 < 15
     assert forked
     _no_child_left()
+
+
+# Solves pentomino 3x20 with threads=2; its forked worker prints its pid
+# and sleeps in its first deadline check, so that it outlasts the solve.
+ORPHAN_CHILD = """\
+import os, sys, time
+from xcover import solver
+from xcover.instance import parse_instance
+inst = parse_instance(sys.stdin.read())
+me = os.getpid()
+
+def check(ctx):
+    if os.getpid() != me:
+        os.write(1, b"%d\\n" % os.getpid())
+        time.sleep(60)
+
+solver._check_deadline = check
+solver.solve(inst, solver.SolveConfig(engine="dxd", threads=2))
+"""
+
+
+def _proc_state(pid):
+    """The state letter of ``pid`` in /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal and /proc are Linux's")
+def test_worker_dies_with_a_killed_parent():
+    # SIGKILL runs none of the solve's cleanup, so the worker must be
+    # killed by the kernel when its parent dies, not search on as an orphan
+    src = str(Path(xcover.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_CHILD],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            env=env)
+    worker = None
+    try:
+        proc.stdin.write(serialize_instance(pentomino_instance()).encode())
+        proc.stdin.close()
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "no worker started within 60 s"
+        worker = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _proc_state(worker) not in (None, "Z") \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _proc_state(worker) in (None, "Z")
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        if worker is not None and _proc_state(worker) not in (None, "Z"):
+            os.kill(worker, signal.SIGKILL)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
