@@ -141,12 +141,7 @@ class ComponentSet:
         self.forest = SpanningForest()
         self._comp_of = {}
         self._comps = set()
-        vs = set(vertices)
-        es = {_edge(a, b) for a, b in edges}
-        for e in es:
-            if e[0] not in vs or e[1] not in vs:
-                raise DynConnError(f"edge {e} endpoint not a vertex")
-        self.inc_update(vs, es)
+        self.inc_update(set(vertices), edges)
 
     def __contains__(self, v) -> bool:
         return v in self._comp_of

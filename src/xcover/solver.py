@@ -46,8 +46,9 @@ beside the masks, to be undone once the state's node is built:
                entering a searched state, the rows that its row choice
                removed leave the set in one batch (with their incident
                edges), and come back in one batch once the state's node
-               is built.  Each component is searched with a ComponentSet
-               of its own.
+               is built.  The solve keeps one ComponentSet, and a join
+               and its components are searched against it: a join reads
+               its components with ``find_cc``.
 
 All three apply the rules of dancing links (column choice, row order,
 literal, components in order of their smallest row), so dxd and dyndxd
@@ -135,15 +136,18 @@ class _Ctx:
     * ``stats``: the ``SolveStats`` the search counts into.
     * ``pool``: the thread count while the root may still split over
       worker processes (``_split_root``).  None once the root's frame is
-      pushed, when ``threads`` is 1 or ``os.fork`` is missing, in the
-      contexts of ``fork``, and in those that criterion 9 builds by hand.
+      pushed, when ``threads`` is 1 or ``os.fork`` is missing, and in
+      the contexts that criterion 9 builds by hand.
       The slot keeps its place, fifth, because criterion 9 passes it
       positionally.
     * ``deadline``: the ``time.monotonic()`` past which the search raises
       ``SolveTimeout``, or None.
     * ``cfg``: the ``SolveConfig`` of the solve.
-    * ``cs``, ``adj``: dyndxd only, the ComponentSet of the live rows and
-      the row adjacency it was built from; None for dxz and dxd.
+    * ``cs``, ``adj``: dyndxd only, the solve's one ComponentSet and the
+      row adjacency it was built from; None for dxz and dxd.  ``cs``
+      holds the rows of the state being searched, and those of the
+      components of its ancestors' joins that are not yet searched or
+      were searched already; a forked worker has its own copy.
     * ``masks``: the ``MaskTables`` of the solve, set by ``_mask_root``.
     * ``counts``: dxz only, the ``ColumnCounts`` of its one search.
     """
@@ -164,11 +168,6 @@ class _Ctx:
         self.adj = adj
         self.masks = masks
         self.counts = None
-
-    def fork(self, cs):
-        """The context of one component: a ComponentSet of its own."""
-        return _Ctx(self.engine, self.store, self.cache, self.stats, None,
-                    self.deadline, self.cfg, cs, self.adj, self.masks)
 
 
 def bfs_components(m: DlxMatrix) -> list:
@@ -256,6 +255,8 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
     read into masks and ``m`` is left untouched.  For dyndxd, ``ctx``
     carries a ``cs`` over exactly those rows and their ``adj``."""
     live = m.live_row_ids()
+    if ctx.cs is not None and len(ctx.cs) != len(live):
+        raise AssertionError("component structure out of sync with search")
     return _mask_root(MaskTables(m.live_col_mask.bit_length(),
                                  ((r, m.row_columns(r)) for r in live)),
                       m.live_col_mask, sum(1 << r for r in live), ctx)
@@ -274,7 +275,7 @@ def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
 def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
     by choosing row ``via`` (None at a root).  A frame
-    of the stack is a list ``[cols, rows, cs, undo, todo, i, node, parts]``:
+    of the stack is a list ``[cols, rows, undo, todo, i, node, parts]``:
     ``todo`` is a bitmask of the children not searched yet and ``i`` the
     one being searched.  A branch (``parts`` None) has the rows of its
     column as children and chains each satisfiable one into ``node`` as
@@ -282,10 +283,10 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     its node and runs ``mk_join`` after the last.  A state that ends at
     once (a literal, BOTTOM) is a frame with no children.  ``undo`` is
     dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
-    choice removed from ``cs``, the ComponentSet of the state's rows; a
-    join gives each component a ComponentSet of its own.  While
-    ``ctx.pool`` is set, the first frame, the root's, may split over
-    worker processes (``_split_root``)."""
+    choice removed from ``ctx.cs``; the components of a join are
+    searched against the same set, and each leaves it as it found it.
+    While ``ctx.pool`` is set, the first frame, the root's, may split
+    over worker processes (``_split_root``)."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
     starver = t.starver
@@ -321,10 +322,16 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                         undo = gone, {_edge(r, s) for r in gone
                                       for s in adj[r] if s in cs}
                         cs.dec_update(*undo)
-                    if len(cs) != rows.bit_count():
-                        raise AssertionError(
-                            "component structure out of sync with search")
-                    comps = [sum(1 << r for r in c) for c in cs.partition()]
+                    comps = []
+                    left = rows
+                    while left:
+                        r = (left & -left).bit_length() - 1
+                        m = sum(1 << s for s in cs.find_cc(r).vertices)
+                        if m & ~left:
+                            raise AssertionError(
+                                "component structure out of sync with search")
+                        comps.append(m)
+                        left ^= m
                 if len(comps) < 2:
                     # after the flood fill, so that subs stay dlx's
                     c = -1 if via is None else starver[via]
@@ -341,7 +348,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                         todo = (1 << len(parts)) - 1
                     else:
                         parts = None    # a live column interacts no live row
-            stack.append([cols, rows, cs, undo, todo, -1, node, parts])
+            stack.append([cols, rows, undo, todo, -1, node, parts])
             if split is not None:
                 ctx.pool = None         # only the root's frame may split
                 node = _split_root(stack[0], split, ctx)
@@ -353,27 +360,25 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
         # until one has a child left to search
         while stack:
             f = stack[-1]
-            parts = f[7]
+            parts = f[6]
             if node is not None:        # else the frame was just entered
                 if parts is not None:
-                    parts[f[5]] = node
+                    parts[f[4]] = node
                 elif node != BOTTOM:
-                    f[6] = store.mk_decision(f[5], node, f[6])
-            todo = f[4]
+                    f[5] = store.mk_decision(f[4], node, f[5])
+            todo = f[3]
             if todo:
                 low = todo & -todo
-                f[4] = todo ^ low
-                i = f[5] = low.bit_length() - 1
+                f[3] = todo ^ low
+                i = f[4] = low.bit_length() - 1
                 if parts is None:
                     cols, rows = f[0] & ~row_cols[i], f[1] & ~conflict[i]
-                    cs, via = f[2], i
+                    via = i
                 else:
                     (cols, rows), via = parts[i], None
-                    if f[2] is not None:
-                        cs = _component_set(_bits(rows), adj)
                 break
             stack.pop()
-            cols, _, cs, undo, _, _, node, parts = f
+            cols, _, undo, _, _, node, parts = f
             if parts is not None:
                 node = store.mk_join(parts)
             if undo is not None:
@@ -402,7 +407,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
     dealt round-robin to this process and the workers; this process
     also keeps the others.  Every worker is reaped before this returns,
     and killed first if it leaves by an exception."""
-    cols, rows, _, _, todo, _, _, parts = frame
+    cols, rows, _, todo, _, _, parts = frame
     t = ctx.masks
     if parts is not None:       # a join searches all its components
         kids = [(i, c, m, None) for i, (c, m) in enumerate(parts)]
@@ -438,9 +443,9 @@ def _split_root(frame, threads: int, ctx: _Ctx):
                 os.close(w)
             procs.append([pid, r])
         stats.spawned += n
-        for k in kids:
-            if k[0] not in dealt:
-                nodes[k[0]] = _search_child(k, ctx)
+        for i, c, m, via in kids:
+            if i not in dealt:
+                nodes[i] = _mask_search(c, m, ctx, via)
         for p in procs:
             with open(p[1], "rb") as f:
                 p[1] = None
@@ -475,16 +480,6 @@ def _split_root(frame, threads: int, ctx: _Ctx):
     return node
 
 
-def _search_child(kid, ctx: _Ctx) -> int:
-    """The node of one child ``(i, cols, rows, via)`` of the root: a
-    branch's row ``via``, or a component of a join, which dyndxd
-    searches with a ComponentSet of its own."""
-    _, cols, rows, via = kid
-    if via is None and ctx.cs is not None:
-        ctx = ctx.fork(_component_set(_bits(rows), ctx.adj))
-    return _mask_search(cols, rows, ctx, via)
-
-
 _PR_SET_PDEATHSIG = 1
 
 
@@ -517,7 +512,8 @@ def _worker(kids, base: int, fd: int, ctx: _Ctx, parent: int, prctl):
             return
         try:
             ctx.stats = SolveStats()
-            found = [(k[0], _search_child(k, ctx)) for k in kids]
+            found = [(i, _mask_search(c, m, ctx, via))
+                     for i, c, m, via in kids]
             store = ctx.store
             msg = (found, [store.entry(n) for n in range(base, len(store))],
                    ctx.stats)
@@ -551,6 +547,8 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         raise ValueError(f"unknown engine {cfg.engine!r}")
     if not isinstance(cfg.threads, int) or cfg.threads < 1:
         raise ValueError("threads must be an integer >= 1")
+    if not isinstance(cfg.spawn_threshold, int) or cfg.spawn_threshold < 0:
+        raise ValueError("spawn_threshold must be an integer >= 0")
     if cfg.timeout_s is not None and not cfg.timeout_s >= 0:   # NaN too
         raise ValueError("timeout_s must be a number >= 0")
     t0 = time.perf_counter()

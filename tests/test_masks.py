@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from xcover import solver
 from xcover.diagram import BOTTOM
 from xcover.dlx import DlxMatrix
 from xcover.gen import block_diagonal
@@ -167,12 +168,22 @@ def test_column_without_rows_is_chosen_first():
     assert counts.select(cols) == 1
 
 
-def test_dxz_solve_after_a_timeout_is_unchanged(pentomino_dxz):
-    # the column counts belong to one solve: one cut short mid-search
-    # leaves nothing behind for the next
+def test_dxz_solve_after_a_timeout_is_unchanged(pentomino_dxz, monkeypatch):
+    # the column counts belong to one solve: one cut short mid-search (at
+    # its 5,000th deadline check, of about 18,600) leaves nothing behind
+    # for the next
     inst = pentomino_instance()
-    with pytest.raises(SolveTimeout):
-        solve(inst, SolveConfig(engine="dxz", timeout_s=0.2))
+    calls = []
+
+    def check(ctx):
+        calls.append(None)
+        if len(calls) == 5000:
+            raise SolveTimeout
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_check_deadline", check)
+        with pytest.raises(SolveTimeout):
+            solve(inst, SolveConfig(engine="dxz"))
     rep = solve(inst, SolveConfig(engine="dxz"))
     assert rep.store.dump(rep.root) == \
         pentomino_dxz.store.dump(pentomino_dxz.root)

@@ -82,6 +82,12 @@ def test_condemo_validation(demo):
     for threads in (0, 2.5):
         with pytest.raises(ValueError):
             run(demo, "dxz", threads=threads)
+    for threads in (1, 2):
+        for spawn_threshold in (None, -1, 2.5):
+            with pytest.raises(ValueError):
+                run(demo, "dxd", threads=threads,
+                    spawn_threshold=spawn_threshold)
+    assert run(demo, "dxd", threads=2, spawn_threshold=0).count == 4
 
 
 def test_no_cover_instance():
@@ -234,6 +240,25 @@ def test_dyn_components_check_sync_with_matrix(demo):
                SolveConfig(engine="dyndxd"), cs, adj)
     with pytest.raises(AssertionError):
         _search(DlxMatrix.from_instance(demo), ctx)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dyndxd_builds_one_component_set(demo, monkeypatch, threads):
+    # a join's components are searched against the solve's ComponentSet,
+    # not against sets of their own; with threads=2 the parent keeps a
+    # component of the root's join (a worker's sets are not counted here)
+    built = []
+    init = ComponentSet.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(ComponentSet, "__init__", counted)
+    rep = run(block_diagonal(demo, 3), "dyndxd", threads=threads,
+              spawn_threshold=1)
+    assert rep.count == 4 ** 3 and rep.stats.subs == 6
+    assert len(built) == 1
 
 
 def _chorded_rings(count, size=9, chords=6, seed=1) -> GraphInput:
