@@ -262,13 +262,15 @@ class NodeStore:
 
     # -- queries ------------------------------------------------------------
 
-    def count(self, n: NodeId) -> int:
+    def count(self, n: NodeId, reach: set | None = None) -> int:
         """Number of sets in the family of ``n`` (exact bignum).
+        ``reach``, if given, is ``reachable(n)``, which is then not
+        walked again.
 
         One pass in ascending id order: interning is append-only, so
         every child has a smaller id than its parent."""
         memo = {BOTTOM: 0, TOP: 1}
-        for m in sorted(self.reachable(n)):
+        for m in sorted(self.reachable(n) if reach is None else reach):
             e = self._entries[m]
             if e[0] == _L:
                 memo[m] = 1

@@ -27,15 +27,18 @@ Row and column ids are the instance's global ids.
 
 dxd and dyndxd search inside components, whose states are narrow, and
 choose their column with ``MaskTables.select_column``, a popcount per live
-column.  dxz's states span every live column, so it keeps the column
-sizes of its current state in a ``ColumnCounts`` instead: mutable,
-owned by one search, and recounted along each edge only where the
-chosen row can have changed them.  Before that recount, a child in which
-the chosen row left some live column without a live row is found by
-``ColumnCounts.starved`` and ends at once, as dancing links backtracks
-on an empty column; on pentomino 3x20 that is 11,621 of the 16,918
-non-root states that dxz searches, and the ``starver`` memo finds the
-empty column of 8,541 of them with one test.
+column, which also finds a column left with no live row.  dxz keeps the
+column sizes of its current state in a ``ColumnCounts`` instead:
+mutable, owned by one search, and recounted along each edge only where
+the chosen row can have changed them.  That saves work only while a row
+choice leaves most live columns alone, as on a block-diagonal ladder.
+Where the chosen row can reach every live column, the recount and its
+undo cost more than the popcounts, so dxz branches there as dxd does.
+On pentomino 3x20, dxz tests 18 children of the root on the counts and
+enters 16; below those, every chosen row reaches every live column, so
+``select_column`` picks the column of the other non-root states, of
+16,918 in all, or finds the starved column that makes one BOTTOM (the
+``starver`` memo finds most of those with one test).
 """
 
 from __future__ import annotations
@@ -144,7 +147,10 @@ class ColumnCounts:
     Counts are exact for the columns of the current state; a column
     outside it may hold a stale count, which ``select`` masks out.
     ``enter`` moves the counts to a child, ``leave`` moves them back, in
-    LIFO order, exactly as they were.
+    LIFO order, exactly as they were.  The search only enters a child
+    whose row leaves some live column out of ``reach``; below a child
+    that it does not enter, it leaves the counts alone, so they are
+    still the parent's when the search comes back.
 
     ``starved`` tells, without touching the counts, whether a child has a
     live column with no live row, so that the search ends it (BOTTOM)

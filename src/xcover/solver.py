@@ -22,6 +22,12 @@ beside the masks, to be undone once the state's node is built:
                dancing links backtracks on an empty column.  The column
                that last starved a child of each row is remembered
                (``MaskTables.starver``) and tested first.
+               The counts only pay while a row choice leaves some live
+               column out of its reach: the first state whose row can
+               change every live count, and its whole subtree, branch
+               as dxd does, on the memo and popcounts, and enter
+               nothing; the counts, untouched there, serve again once
+               that state's node is built.
 * ``dxd``      additionally short-circuits a single row that covers
                everything to a literal, and when the live rows fall
                into >= 2 connected components of the primal graph
@@ -149,7 +155,9 @@ class _Ctx:
       components of its ancestors' joins that are not yet searched or
       were searched already; a forked worker has its own copy.
     * ``masks``: the ``MaskTables`` of the solve, set by ``_mask_root``.
-    * ``counts``: dxz only, the ``ColumnCounts`` of its one search.
+    * ``counts``: dxz only, the ``ColumnCounts`` of its one search: the
+      counts of the deepest state on the stack that was entered on them,
+      which the states of a popcount subtree below it leave alone.
     """
 
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
@@ -285,14 +293,19 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
     choice removed from ``ctx.cs``; the components of a join are
     searched against the same set, and each leaves it as it found it.
+    A dxz state whose row ``via`` reaches every live column is not
+    entered on the counts: it and its subtree branch on popcounts, with
+    ``undo`` None, until its frame is popped.
     While ``ctx.pool`` is set, the first frame, the root's, may split
     over worker processes (``_split_root``)."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
     starver = t.starver
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
+    reach = None if counts is None else counts.reach
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
     stack = []
+    uncounted = -1      # depth of dxz's first frame off its counts, or -1
     while True:
         # enter (cols, rows), reached by choosing row via (None at a root)
         _check_deadline(ctx)
@@ -305,16 +318,25 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
             node = BOTTOM
             undo = parts = None
             todo = 0
-            if counts is not None:
+            if counts is not None and uncounted < 0 and (
+                    via is None or reach[via] & cols != cols):
                 # a child in which a column lost its last row stays BOTTOM
                 if via is None or not counts.starved(via, cols, rows):
                     if via is not None:
                         undo = counts.enter(via, cols, rows)
                     todo = col_rows[counts.select(cols)] & rows
-            elif (r := t.single_full_row(cols, rows)) is not None:
+            elif counts is None and (
+                    r := t.single_full_row(cols, rows)) is not None:
                 node = store.mk_literal(r)
             else:
-                if cs is None:
+                if counts is not None:
+                    # dxz at or below a state whose row can change every
+                    # live count: a branch on popcounts, entering nothing,
+                    # until that state's frame is popped
+                    comps = ()
+                    if uncounted < 0:
+                        uncounted = len(stack)
+                elif cs is None:
                     comps = t.components(rows)
                 else:
                     if via is not None:
@@ -378,6 +400,8 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                     (cols, rows), via = parts[i], None
                 break
             stack.pop()
+            if len(stack) == uncounted:
+                uncounted = -1          # the counts are the parent's again
             cols, _, undo, _, _, node, parts = f
             if parts is not None:
                 node = store.mk_join(parts)
@@ -566,9 +590,10 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
                  else None)
         ctx = _Ctx(cfg.engine, store, {}, stats, split, deadline, cfg)
         root = _solve_root(inst, ctx)
+        reach = store.reachable(root)   # one walk for count and nodes
         report = SolveReport(engine=cfg.engine, threads=cfg.threads,
-                             count=store.count(root), root=root, store=store,
-                             stats=stats, time_ms=0.0,
-                             nodes=store.node_count(root))
+                             count=store.count(root, reach), root=root,
+                             store=store, stats=stats, time_ms=0.0,
+                             nodes=len(reach))
     report.time_ms = (time.perf_counter() - t0) * 1000.0
     return report

@@ -323,28 +323,124 @@ def test_pentomino_dxz_search_pinned(pentomino_dxz):
     assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
 
 
+def log_calls(monkeypatch, log, *methods):
+    """Patch each ``(cls, name, tag)`` so that a call appends ``tag`` to
+    ``log`` before it runs."""
+    for cls, name, tag in methods:
+        def logged(self, *args, _f=getattr(cls, name), _tag=tag):
+            log.append(_tag)
+            return _f(self, *args)
+
+        monkeypatch.setattr(cls, name, logged)
+
+
+KERNEL_CALLS = ((ColumnCounts, "starved", "starved"),
+                (ColumnCounts, "enter", "enter"),
+                (MaskTables, "select_column", "select_column"))
+
+
 def test_pentomino_dxz_ends_starved_states_uncounted(monkeypatch):
-    # of the 16,918 non-root states that dxz searches on pentomino 3x20,
-    # 11,621 have a column that the row choice left without a row; they
-    # end before their column counts are moved, and the rest are entered
-    calls = {"starved": 0, "enter": 0}
-    starved, enter = ColumnCounts.starved, ColumnCounts.enter
-
-    def counted_starved(self, *args):
-        hit = starved(self, *args)
-        calls["starved"] += hit
-        return hit
-
-    def counted_enter(self, *args):
-        calls["enter"] += 1
-        return enter(self, *args)
-
-    monkeypatch.setattr(ColumnCounts, "starved", counted_starved)
-    monkeypatch.setattr(ColumnCounts, "enter", counted_enter)
+    # below the root's children on pentomino 3x20, a chosen row reaches
+    # every live column, so dxz's counts would be rewritten on nearly
+    # every edge: those states branch on popcounts (select_column, which
+    # also finds a starved column) and nothing is entered; the counts
+    # serve only the root's children, where a row choice leaves some
+    # live column out of reach
+    log = []
+    log_calls(monkeypatch, log, *KERNEL_CALLS)
     rep = run(pentomino_instance(), "dxz")
     assert (rep.count, rep.nodes) == (8, 75)
     assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
-    assert calls == {"starved": 11621, "enter": 5297}
+    assert {tag: log.count(tag) for _, _, tag in KERNEL_CALLS} == \
+        {"starved": 18, "enter": 16, "select_column": 8359}
+
+
+def test_ladder_dxz_keeps_its_counts(demo, monkeypatch):
+    # on block_diagonal(demo, 400) a row choice touches one block of
+    # columns, so every state but one, in the last block, is entered on
+    # the counts
+    log = []
+    log_calls(monkeypatch, log, *KERNEL_CALLS)
+    rep = run(block_diagonal(demo, 400), "dxz")
+    assert rep.count == 4 ** 400
+    assert (log.count("enter"), log.count("select_column")) == (1598, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dxz_resumes_counts_after_a_popcount_subtree(demo, monkeypatch, k):
+    # one state's row reaches every live column: F's child once only the
+    # last block's column 6 is live.  It branches on popcounts, and the
+    # states searched after it are entered on the counts again, which
+    # are still its parent's; the diagram and cache traffic stay dlx's
+    inst = block_diagonal(demo, k)
+    log = []
+    log_calls(monkeypatch, log, (ColumnCounts, "enter", "E"),
+              (MaskTables, "select_column", "P"))
+    rep = run(inst, "dxz")
+    order = "".join(log)
+    assert order == {1: "EPE", 2: "EEEPEEE", 3: "EEEEEPEEEEE"}[k]
+    assert "E" in order[order.index("P"):]
+    store, root, traffic = dlx_search(inst, decompose=False)
+    assert rep.store.dump(rep.root) == store.dump(root)
+    assert (rep.stats.subs, rep.stats.cache_hits,
+            rep.stats.cache_misses) == traffic
+
+
+def exact_enter(enter):
+    """``ColumnCounts.enter`` that then checks every live column's count
+    against a popcount of the child's rows."""
+    def checked(self, r, cols, rows):
+        log = enter(self, r, cols, rows)
+        assert all(self.size[c] == (self.col_rows[c] & rows).bit_count()
+                   for c in range(len(self.size)) if cols >> c & 1)
+        return log
+
+    return checked
+
+
+def test_dxz_counts_stay_exact_below_a_popcount_subtree(monkeypatch):
+    # choosing R0 kills R6, which spans four columns, so R0's reach covers
+    # every live column and its child branches on popcounts; below it,
+    # R3's reach leaves columns out.  Were R3's child entered on counts,
+    # column 5 would keep R6 in its count.
+    rows = [[0, 2, 4], [1, 3], [1, 2], [1], [3, 5], [3, 5], [2, 3, 4, 5]]
+    inst = Instance.build([f"c{c}" for c in range(6)],
+                          [(f"R{i}", r) for i, r in enumerate(rows)])
+    monkeypatch.setattr(ColumnCounts, "enter",
+                        exact_enter(ColumnCounts.enter))
+    rep = run(inst, "dxz")
+    store, root, traffic = dlx_search(inst, decompose=False)
+    assert rep.store.dump(rep.root) == store.dump(root)
+    assert (rep.stats.subs, rep.stats.cache_hits,
+            rep.stats.cache_misses) == traffic
+
+
+@given(st.integers(0, 10 ** 6))
+def test_dxz_matches_dlx_on_random_blocks(seed):
+    # block-diagonal instances mix states that are entered on counts with
+    # popcount subtrees below them; both give dancing links' diagram, and
+    # the counts are exact wherever a state is entered
+    rng = random.Random(seed)
+    inst = block_diagonal(random_instance(rng, max_rows=8, max_cols=6),
+                          rng.randint(2, 4))
+    with mock.patch.object(ColumnCounts, "enter",
+                           exact_enter(ColumnCounts.enter)):
+        rep = run(inst, "dxz")
+    store, root, traffic = dlx_search(inst, decompose=False)
+    assert rep.store.dump(rep.root) == store.dump(root)
+    assert rep.count == store.count(root)
+    assert (rep.stats.subs, rep.stats.cache_hits,
+            rep.stats.cache_misses) == traffic
+
+
+@pytest.mark.parametrize("engine", DIAGRAM_ENGINES)
+def test_solve_walks_its_diagram_once(demo, monkeypatch, engine):
+    # count and nodes share one reachable set
+    log = []
+    log_calls(monkeypatch, log, (NodeStore, "reachable", "walk"))
+    rep = run(block_diagonal(demo, 3), engine)
+    assert log == ["walk"]
+    assert (rep.count, rep.nodes) == (4 ** 3, rep.store.node_count(rep.root))
 
 
 def masks_agree_with_dlx(inst):
