@@ -13,6 +13,10 @@ schemas are stable:
 * CSV columns: instance,engine,threads,count,nodes,subs,time_ms,status
   with status one of ok | TO | error
 
+``subs`` is the number of components of the joins that the search
+built, summed over those joins: always 0 for dxz.  A state that ends
+BOTTOM builds no join, so it counts none, whatever its components.
+
 Exit status 0 on success, 2 on usage, I/O, or parse errors.  Bench
 timeouts are reported as TO rows, and an instance an engine refuses
 (the oracle's row limit) as an error row; neither stops the run.  The

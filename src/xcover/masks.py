@@ -38,7 +38,11 @@ On pentomino 3x20, dxz tests 18 children of the root on the counts and
 enters 16; below those, every chosen row reaches every live column, so
 ``select_column`` picks the column of the other non-root states, of
 16,918 in all, or finds the starved column that makes one BOTTOM (the
-``starver`` memo finds most of those with one test).
+``starver`` memo finds most of those with one test).  dxd runs the same
+test, memo then ``select_column``, on every state reached by a row
+before it looks for components, so a dead end costs no flood fill: of
+its 16,933 searched states, 5,298 run ``components``, and about 11,600
+end BOTTOM before it.
 """
 
 from __future__ import annotations

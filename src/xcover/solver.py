@@ -35,11 +35,14 @@ beside the masks, to be undone once the state's node is built:
                fill over per-row conflict masks), solves the components
                separately and joins them; output is zero-suppressed
                decision-DNNF.
-               A state that does not split first tests the column in
-               ``MaskTables.starver`` for its row choice, and ends with
-               no column scan if that column is live without a row; it
-               tests after the flood fill, so its decompositions stay
-               those of dancing links.
+               A state reached by a row is tested for a starved column
+               first, as in dxz's popcount subtree: the column in
+               ``MaskTables.starver`` for its row choice, then a
+               ``select_column`` scan.  A dead state is BOTTOM before
+               any flood fill, whatever its components; a live one
+               that does not split branches on the column already
+               chosen.  A root or a join's component, reached by no
+               row, runs the flood fill first.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -49,12 +52,13 @@ beside the masks, to be undone once the state's node is built:
                is still the join of its two components).
 * ``dyndxd``   is dxd with the components maintained incrementally by a
                dynconn.ComponentSet instead of the flood fill: on
-               entering a searched state, the rows that its row choice
-               removed leave the set in one batch (with their incident
-               edges), and come back in one batch once the state's node
-               is built.  The solve keeps one ComponentSet, and a join
-               and its components are searched against it: a join reads
-               its components with ``find_cc``.
+               entering a searched state that is not dead, the rows that
+               its row choice removed leave the set in one batch (with
+               their incident edges, each given once), and come back in
+               one batch once the state's node is built.  The solve
+               keeps one ComponentSet, and a join and its components
+               are searched against it: a join reads its components
+               with ``find_cc``.
 
 All three apply the rules of dancing links (column choice, row order,
 literal, components in order of their smallest row), so dxd and dyndxd
@@ -91,7 +95,7 @@ from dataclasses import dataclass
 
 from .diagram import BOTTOM, TOP, NodeStore, _bits
 from .dlx import DlxMatrix
-from .dynconn import ComponentSet, _edge
+from .dynconn import ComponentSet
 from .masks import ColumnCounts, MaskTables
 from .oracle import enumerate_covers
 
@@ -247,10 +251,22 @@ def _row_adjacency(inst) -> dict:
 
 
 def _component_set(rows, adj) -> ComponentSet:
-    """Components of the row graph ``adj`` restricted to ``rows``."""
+    """Components of the row graph ``adj`` restricted to ``rows``; each
+    edge is given once, from its smaller end."""
     rows = set(rows)
-    return ComponentSet(rows, {_edge(r, s) for r in rows for s in adj[r]
-                               if s in rows})
+    return ComponentSet(rows, [(r, s) for r in rows for s in adj[r]
+                               if s > r and s in rows])
+
+
+def _removed_edges(gone, adj, cs) -> list:
+    """The edges of ``cs`` at the rows ``gone``, each given once: an edge
+    between two of them from the first one listed."""
+    done = set()
+    edges = []
+    for r in gone:
+        done.add(r)
+        edges += [(r, s) for s in adj[r] if s in cs and s not in done]
+    return edges
 
 
 def _check_deadline(ctx: _Ctx):
@@ -291,7 +307,8 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     its node and runs ``mk_join`` after the last.  A state that ends at
     once (a literal, BOTTOM) is a frame with no children.  ``undo`` is
     dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
-    choice removed from ``ctx.cs``; the components of a join are
+    choice removed from ``ctx.cs`` (none for a dead state, which ends
+    before any component search); the components of a join are
     searched against the same set, and each leaves it as it found it.
     A dxz state whose row ``via`` reaches every live column is not
     entered on the counts: it and its subtree branch on popcounts, with
@@ -329,20 +346,31 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                     r := t.single_full_row(cols, rows)) is not None:
                 node = store.mk_literal(r)
             else:
+                comps = ()
+                if via is not None:
+                    # a child in which a column lost its last row stays
+                    # BOTTOM: the column that last starved a child of via,
+                    # else a scan
+                    c = starver[via]
+                    if c < 0 or col_rows[c] & rows or not cols >> c & 1:
+                        c = t.select_column(cols, rows)
+                        todo = col_rows[c] & rows
+                        if not todo:
+                            starver[via] = c
                 if counts is not None:
                     # dxz at or below a state whose row can change every
                     # live count: a branch on popcounts, entering nothing,
                     # until that state's frame is popped
-                    comps = ()
                     if uncounted < 0:
                         uncounted = len(stack)
+                elif via is not None and not todo:
+                    pass        # dead: no component search, nothing to undo
                 elif cs is None:
                     comps = t.components(rows)
                 else:
                     if via is not None:
                         gone = [r for r in _bits(conflict[via]) if r in cs]
-                        undo = gone, {_edge(r, s) for r in gone
-                                      for s in adj[r] if s in cs}
+                        undo = gone, _removed_edges(gone, adj, cs)
                         cs.dec_update(*undo)
                     comps = []
                     left = rows
@@ -354,22 +382,16 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                                 "component structure out of sync with search")
                         comps.append(m)
                         left ^= m
-                if len(comps) < 2:
-                    # after the flood fill, so that subs stay dlx's
-                    c = -1 if via is None else starver[via]
-                    if c < 0 or col_rows[c] & rows or not cols >> c & 1:
-                        c = t.select_column(cols, rows)
-                        todo = col_rows[c] & rows
-                        if not todo and via is not None:
-                            starver[via] = c
-                else:
-                    stats.subs += len(comps)
+                if len(comps) >= 2:
                     parts = [(t.columns_of(m), m) for m in comps]
                     covered = sum(c.bit_count() for c, _ in parts)
                     if covered == cols.bit_count():
+                        stats.subs += len(comps)
                         todo = (1 << len(parts)) - 1
                     else:
-                        parts = None    # a live column interacts no live row
+                        parts = None    # a root's column interacts no row
+                elif via is None:
+                    todo = col_rows[t.select_column(cols, rows)] & rows
             stack.append([cols, rows, undo, todo, -1, node, parts])
             if split is not None:
                 ctx.pool = None         # only the root's frame may split

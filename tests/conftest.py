@@ -84,7 +84,8 @@ def dlx_search(inst: Instance, decompose: bool):
     ``decompose``, dxd's too: a single row covering every live column is
     a literal, and two or more ``bfs_components`` are each searched in a
     ``decompose_matrix`` submatrix of their own and joined.  Returns the
-    store, the root and ``(subs, cache hits, cache misses)``."""
+    store, the root and ``(subs, cache hits, cache misses)``; subs counts
+    the components of the joins built, none for a BOTTOM state."""
     store, cache, traffic = NodeStore(), {}, [0, 0, 0]
 
     def search(m):
@@ -101,10 +102,10 @@ def dlx_search(inst: Instance, decompose: bool):
             node = store.mk_literal(r)
         elif len(comps) >= 2:
             subs = decompose_matrix(m, comps)
-            traffic[0] += len(subs)
             if sum(s.live_cols for s in subs) != m.live_cols:
                 node = BOTTOM  # a live column that no live row interacts
             else:
+                traffic[0] += len(subs)
                 node = store.mk_join([search(s) for s in subs])
         else:
             node = branch(m)

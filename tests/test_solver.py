@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import xcover
 from xcover import solver
-from xcover.diagram import NodeStore
+from xcover.diagram import NodeStore, _bits
 from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
@@ -105,7 +105,7 @@ def test_empty_column_stops_decomposition():
     for engine in ("dxd", "dyndxd"):
         rep = run(inst, engine)
         assert rep.count == 0
-        assert rep.stats.subs == 2  # decomposition found, then discarded
+        assert rep.stats.subs == 0  # no join is built for a dead state
 
 
 def test_connected_instance_never_decomposes():
@@ -114,6 +114,40 @@ def test_connected_instance_never_decomposes():
         rep = run(inst, engine)
         assert rep.count == 2
         assert rep.stats.subs == 0
+
+
+def test_dead_state_ends_before_its_components(monkeypatch):
+    # the root branches on column 0.  Choosing R0 leaves R1 and R2, two
+    # components, but column 4 with no row: that state is BOTTOM before
+    # any flood fill or dynconn batch.  R5's child is live and searched
+    rows = [[0, 2], [1], [3], [2, 4], [1, 2, 3], [0, 4]]
+    inst = Instance.build([f"c{c}" for c in range(5)],
+                          [(f"R{i}", r) for i, r in enumerate(rows)])
+    fills, batches = [], []
+    components = MaskTables.components
+    dec_update = ComponentSet.dec_update
+
+    def fill(self, rows):
+        fills.append(sorted(_bits(rows)))
+        return components(self, rows)
+
+    def batch(self, gone, edges):
+        batches.append(sorted(gone))
+        return dec_update(self, gone, edges)
+
+    monkeypatch.setattr(MaskTables, "components", fill)
+    monkeypatch.setattr(ComponentSet, "dec_update", batch)
+    store, root, traffic = dlx_search(inst, decompose=True)
+    assert traffic[0] == 0      # no join is built
+    for engine in ("dxd", "dyndxd"):
+        rep = run(inst, engine)
+        assert rep.count == 1
+        assert rep.store.dump(rep.root) == store.dump(root)
+        assert (rep.stats.subs, rep.stats.cache_hits,
+                rep.stats.cache_misses) == traffic
+    # dxd fills the root and R5's child; dyndxd removes R5's conflicts
+    assert fills == [[0, 1, 2, 3, 4, 5], [1, 2, 4]]
+    assert batches == [[0, 3, 5]]
 
 
 def test_bfs_components(demo):
@@ -302,19 +336,16 @@ def test_block_diagonal_product_counts(demo):
 
 def test_pentomino_dxd_search_pinned(monkeypatch):
     # of its 16,933 searched states, dxd scans the columns of at most
-    # 8,400: the starver memo ends most dead ends after one test
-    calls = [0]
-    select_column = MaskTables.select_column
-
-    def counted(self, *args):
-        calls[0] += 1
-        return select_column(self, *args)
-
-    monkeypatch.setattr(MaskTables, "select_column", counted)
+    # 8,400: the starver memo ends most dead ends after one test.  A dead
+    # end ends before its flood fill, so at most 5,400 states run one
+    log = []
+    log_calls(monkeypatch, log, (MaskTables, "select_column", "select"),
+              (MaskTables, "components", "fill"))
     rep = run(pentomino_instance(), "dxd")
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 8)
     assert rep.stats.cache_misses == 16933
-    assert calls[0] <= 8400
+    assert log.count("select") <= 8400
+    assert log.count("fill") <= 5400
 
 
 def test_pentomino_dxz_search_pinned(pentomino_dxz):
