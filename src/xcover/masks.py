@@ -27,10 +27,15 @@ Row and column ids are the instance's global ids.
 
 dxd and dyndxd search inside components, whose states are narrow, and
 choose their column with ``MaskTables.select_column``, a popcount per live
-column, which also finds a column left with no live row.  dxz keeps the
-column sizes of its current state in a ``ColumnCounts`` instead:
-mutable, owned by one search, and recounted along each edge only where
-the chosen row can have changed them.  That saves work only while a row
+column, which also finds a column left with no live row.  It visits the
+live columns in ascending order and stops at the first empty one: it
+shifts ``cols`` down to the byte that holds its lowest column, reads the
+rest once as bytes, and takes each nonzero byte's column ids from the
+256-entry table ``_BYTE_BITS``, so a narrow component high in a wide
+instance costs a byte or two, and finding a column's id costs no bit
+arithmetic.  dxz keeps the column sizes of its current state in a
+``ColumnCounts`` instead: mutable, owned by one search, and recounted
+along each edge only where the chosen row can have changed them.  That saves work only while a row
 choice leaves most live columns alone, as on a block-diagonal ladder.
 Where the chosen row can reach every live column, the recount and its
 undo cost more than the popcounts, so dxz branches there as dxd does.
@@ -41,11 +46,16 @@ enters 16; below those, every chosen row reaches every live column, so
 ``starver`` memo finds most of those with one test).  dxd runs the same
 test, memo then ``select_column``, on every state reached by a row
 before it looks for components, so a dead end costs no flood fill: of
-its 16,933 searched states, 5,298 run ``components``, and about 11,600
-end BOTTOM before it.
+its 16,933 searched states, 5,292 run ``components``, and about 11,600
+end BOTTOM before it.  A join's components are connected by construction
+and run none.
 """
 
 from __future__ import annotations
+
+# _BYTE_BITS[v]: the offsets of the set bits of the byte value v, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
+                   for v in range(256))
 
 
 class MaskTables:
@@ -91,20 +101,27 @@ class MaskTables:
 
     def select_column(self, cols: int, rows: int) -> int:
         """Column of ``cols`` with the fewest rows in ``rows``; ties break
-        to the smallest column id."""
+        to the smallest column id, and the scan stops at the first column
+        with no row.  ``cols`` is shifted down to the byte that holds its
+        lowest column and read once as bytes, lowest first; each nonzero
+        byte gives its column ids from ``_BYTE_BITS``, so a live column
+        costs its popcount and no bit arithmetic."""
         if not cols:
             raise ValueError("select_column on empty column set")
         col_rows = self.col_rows
-        best = best_n = -1
-        while cols:
-            low = cols & -cols
-            c = low.bit_length() - 1
-            n = (col_rows[c] & rows).bit_count()
-            if best_n < 0 or n < best_n:
-                best, best_n = c, n
-                if not n:
-                    break
-            cols ^= low
+        base = ((cols & -cols).bit_length() - 1) & ~7
+        cols >>= base
+        best, best_n = -1, len(self.row_cols) + 1  # above any column's count
+        for byte in cols.to_bytes((cols.bit_length() + 7) >> 3, "little"):
+            if byte:
+                for c in _BYTE_BITS[byte]:
+                    c += base
+                    n = (col_rows[c] & rows).bit_count()
+                    if n < best_n:
+                        if not n:
+                            return c
+                        best, best_n = c, n
+            base += 8
         return best
 
     def components(self, rows: int) -> list:

@@ -310,6 +310,8 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     choice removed from ``ctx.cs`` (none for a dead state, which ends
     before any component search); the components of a join are
     searched against the same set, and each leaves it as it found it.
+    A join's component is connected by construction, so its state runs
+    no flood fill and no ``find_cc`` walk.
     A dxz state whose row ``via`` reaches every live column is not
     entered on the counts: it and its subtree branch on popcounts, with
     ``undo`` None, until its frame is popped.
@@ -323,6 +325,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
     stack = []
     uncounted = -1      # depth of dxz's first frame off its counts, or -1
+    joined = False      # (cols, rows) is a component of a join
     while True:
         # enter (cols, rows), reached by choosing row via (None at a root)
         _check_deadline(ctx)
@@ -365,6 +368,8 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                         uncounted = len(stack)
                 elif via is not None and not todo:
                     pass        # dead: no component search, nothing to undo
+                elif joined:
+                    pass        # a join's component is connected already
                 elif cs is None:
                     comps = t.components(rows)
                 else:
@@ -417,9 +422,9 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                 i = f[4] = low.bit_length() - 1
                 if parts is None:
                     cols, rows = f[0] & ~row_cols[i], f[1] & ~conflict[i]
-                    via = i
+                    via, joined = i, False
                 else:
-                    (cols, rows), via = parts[i], None
+                    (cols, rows), via, joined = parts[i], None, True
                 break
             stack.pop()
             if len(stack) == uncounted:

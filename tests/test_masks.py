@@ -68,6 +68,57 @@ def test_masks_agree_with_dlx_at_random_live_states(seed):
             assert t.select_column(cols, rows) == m.select_column()
 
 
+@st.composite
+def wide_states(draw):
+    """A table of up to about 3,000 columns with a few live ones: often
+    only at high ids, as in a ladder's component, at and next to
+    multiples of 8, or just one.  With ``starve``, live columns may have
+    no live row; without, every live column has one and counts tie."""
+    n_cols = draw(st.integers(1, 3000))
+    near8 = st.integers(0, n_cols // 8).flatmap(
+        lambda k: st.sampled_from([8 * k - 1, 8 * k, 8 * k + 1]))
+    anywhere = st.integers(0, n_cols - 1)
+    high = st.integers(max(0, n_cols - 40), n_cols - 1)
+    ids = st.one_of(anywhere, high, near8).filter(lambda c: 0 <= c < n_cols)
+    live = draw(st.lists(ids, min_size=1, max_size=draw(
+        st.sampled_from([1, 8, 40])), unique=True))
+    n_rows = draw(st.integers(1, 12))
+    starve = draw(st.booleans())
+    some = st.lists(st.integers(0, n_rows - 1), min_size=0 if starve else 1,
+                    max_size=6, unique=True)
+    col_of = {c: draw(some) for c in live}
+    rows = [(r, [c for c in live if r in col_of[c]]) for r in range(n_rows)]
+    alive = (1 << n_rows) - 1
+    if starve:
+        alive = draw(st.integers(0, alive))
+    return MaskTables(n_cols, rows), sum(1 << c for c in live), alive
+
+
+@given(wide_states())
+def test_select_column_is_the_smallest_minimum_on_wide_masks(state):
+    # against a brute-force minimum over the sorted live columns, ties to
+    # the smallest id: a live column with no live row is the first such
+    # column, since none has fewer
+    t, cols, rows = state
+    counts = [((t.col_rows[c] & rows).bit_count(), c) for c in bits(cols)]
+    assert t.select_column(cols, rows) == min(counts)[1]
+
+
+def test_select_column_at_byte_edges_and_high_ids():
+    # one table of 3,000 columns, column c with the one row c % 5: the
+    # answer at and next to multiples of 8 and at the top id, alone and
+    # paired with the top id.  Under row 4 alone, only the columns
+    # c % 5 == 4 keep a row: the first column without one wins
+    t = MaskTables(3000, [(r, range(r, 3000, 5)) for r in range(5)])
+    for c in (0, 1, 7, 8, 9, 15, 16, 2047, 2048, 2999):
+        assert t.select_column(1 << c, 0b11111) == c
+        assert t.select_column(1 << c | 1 << 2999, 0b11111) == c
+    assert t.select_column(1 << 2994 | 1 << 2996 | 1 << 2997, 0b10000) == 2996
+    assert t.select_column(1 << 2999 | 1 << 2994, 0b10000) == 2994
+    with pytest.raises(ValueError):
+        t.select_column(0, 0b11111)
+
+
 @given(st.integers(0, 10 ** 6))
 def test_column_counts_follow_a_random_descent(seed):
     # walk down a random search path, choosing a random row of the chosen

@@ -348,6 +348,21 @@ def test_pentomino_dxd_search_pinned(monkeypatch):
     assert log.count("fill") <= 5400
 
 
+@pytest.mark.parametrize("engine, walk, calls", [
+    ("dxd", (MaskTables, "components"), 1),
+    ("dyndxd", (ComponentSet, "find_cc"), 800)])
+def test_ladder_join_components_run_no_component_search(
+        demo, monkeypatch, engine, walk, calls):
+    # block_diagonal(demo, 400) splits at the root into 800 components,
+    # each connected by construction: dxd fills the root only, and dyndxd
+    # walks find_cc once per root component, never inside one
+    log = []
+    log_calls(monkeypatch, log, (*walk, "walk"))
+    rep = run(block_diagonal(demo, 400), engine)
+    assert rep.count == 4 ** 400 and rep.stats.subs == 800
+    assert log.count("walk") == calls
+
+
 def test_pentomino_dxz_search_pinned(pentomino_dxz):
     rep = pentomino_dxz
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 0)
