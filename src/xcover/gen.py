@@ -115,26 +115,28 @@ def _component_order(adj) -> list:
 
 def _anchored_cycles(adj, anchor, max_len, max_cycles) -> list:
     """Simple cycles through ``anchor``, each listed once: anchored at the
-    anchor and oriented so the second vertex is below the last."""
+    anchor and oriented so the second vertex is below the last.  A
+    depth-first walk over an explicit stack, one neighbour iterator per
+    path vertex, so a path may be longer than the recursion limit."""
     out = []
     path = [anchor]
     on_path = {anchor}
-
-    def walk(v):
-        for w in adj[v]:
+    stack = [iter(adj[anchor])]
+    while stack:
+        for w in stack[-1]:
             if len(out) >= max_cycles:
-                return
+                return out
             if w == anchor:
                 if len(path) >= 3 and path[1] < path[-1]:
                     out.append(tuple(path))
             elif w not in on_path and len(path) < max_len:
                 path.append(w)
                 on_path.add(w)
-                walk(w)
-                path.pop()
-                on_path.discard(w)
-
-    walk(anchor)
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
     return out
 
 

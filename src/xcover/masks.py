@@ -13,8 +13,8 @@ question the search asks:
 One more list, ``starver[r]``, is the one field the search writes: the
 column that last left a child of row r with no live row, or -1.  A
 child of r in which that column is still live and still has no live row
-is a dead end, found with one test instead of a scan over its columns.
-The memo is only ever checked against the child's own masks, so it can
+is a dead end, found with one test instead of a column choice.  The
+memo is only ever checked against the child's own masks, so it can
 make a search faster but never changes its result, whatever it holds.
 
 Choosing row r turns ``(cols, rows)`` into
@@ -35,20 +35,23 @@ rest once as bytes, and takes each nonzero byte's column ids from the
 instance costs a byte or two, and finding a column's id costs no bit
 arithmetic.  dxz keeps the column sizes of its current state in a
 ``ColumnCounts`` instead: mutable, owned by one search, and recounted
-along each edge only where the chosen row can have changed them.  That saves work only while a row
-choice leaves most live columns alone, as on a block-diagonal ladder.
-Where the chosen row can reach every live column, the recount and its
-undo cost more than the popcounts, so dxz branches there as dxd does.
-On pentomino 3x20, dxz tests 18 children of the root on the counts and
-enters 16; below those, every chosen row reaches every live column, so
+along each edge only where the chosen row can have changed them.  That
+saves work only while a row choice leaves most live columns alone, as
+on a block-diagonal ladder.  Where the chosen row can reach every live
+column, the recount and its undo cost more than the popcounts, so dxz
+branches there as dxd does.
+
+Every engine ends a dead end the same way: a state reached by row r is
+BOTTOM when ``starver[r]`` names a live column with no live row, or
+else when the column that it chooses, on counts or by popcount, has no
+live row, which ``starver[r]`` then remembers.  On pentomino 3x20, dxz
+enters the 18 children of the root on the counts, 2 of them dead;
+below those, every chosen row reaches every live column, so
 ``select_column`` picks the column of the other non-root states, of
-16,918 in all, or finds the starved column that makes one BOTTOM (the
-``starver`` memo finds most of those with one test).  dxd runs the same
-test, memo then ``select_column``, on every state reached by a row
-before it looks for components, so a dead end costs no flood fill: of
-its 16,933 searched states, 5,292 run ``components``, and about 11,600
-end BOTTOM before it.  A join's components are connected by construction
-and run none.
+16,918 in all.  dxd ends a dead end before it looks for components, so
+it costs no flood fill: of its 16,933 searched states, 5,292 run
+``components``, and about 11,600 end BOTTOM before it.  A join's
+components are connected by construction and run none.
 """
 
 from __future__ import annotations
@@ -162,52 +165,46 @@ class ColumnCounts:
 
     * ``size[c]``    the live rows of column c;
     * ``bucket[k]``  a mask of the columns with k live rows;
-    * ``reach[r]``   the columns of the rows in ``conflict[r]``: the only
-                     columns whose count can change when r is chosen.
+    * ``span[c]``    the columns of the rows of column c.
 
-    Counts are exact for the columns of the current state; a column
-    outside it may hold a stale count, which ``select`` masks out.
-    ``enter`` moves the counts to a child, ``leave`` moves them back, in
-    LIFO order, exactly as they were.  The search only enters a child
-    whose row leaves some live column out of ``reach``; below a child
-    that it does not enter, it leaves the counts alone, so they are
-    still the parent's when the search comes back.
-
-    ``starved`` tells, without touching the counts, whether a child has a
-    live column with no live row, so that the search ends it (BOTTOM)
-    instead of entering it.  A child is only ever made from a parent
-    that was branched on, and the parent's chosen column had the fewest
-    rows, so every column of the parent had a row; only the columns of
-    ``reach[r]`` lose rows when r is chosen, so only they can starve.
-    It first tests the column in the tables' ``starver[r]``, and stores
-    there the empty column that a scan finds.
+    ``reach(r)``, the union of ``span`` over row r's columns, holds the
+    only columns whose count can change when r is chosen.  Counts are
+    exact for the columns of the current state; a column outside it may
+    hold a stale count, which ``select`` masks out.  ``enter`` moves the
+    counts to a child, ``leave`` moves them back, in LIFO order, exactly
+    as they were.  The search only enters a child whose row leaves some
+    live column out of its reach; below a child that it does not enter,
+    it leaves the counts alone, so they are still the parent's when the
+    search comes back.  A child with a live column that lost its last
+    row is entered like any other: ``select`` then picks that column,
+    from bucket 0.
     """
 
-    __slots__ = ("col_rows", "size", "bucket", "reach", "starver")
+    __slots__ = ("col_rows", "row_cols", "size", "bucket", "span")
 
     def __init__(self, tables: MaskTables, rows: int):
         """Counts of every column of ``tables`` against the live ``rows``."""
-        col_rows, row_cols = tables.col_rows, tables.row_cols
+        col_rows = tables.col_rows
         size = [(m & rows).bit_count() for m in col_rows]
         bucket = [0] * (max(size, default=0) + 1)
         for c, n in enumerate(size):
             bucket[n] |= 1 << c
-        # span[c]: the columns of the rows of column c; reach[r] is then
-        # the union of span over r's columns, O(cells) for both passes
-        span = [tables.columns_of(m) for m in col_rows]
-        reach = [0] * len(row_cols)
-        for r, m in enumerate(row_cols):
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= span[low.bit_length() - 1]
-                m ^= low
-            reach[r] = acc
         self.col_rows = col_rows
+        self.row_cols = tables.row_cols
         self.size = size
         self.bucket = bucket
-        self.reach = reach
-        self.starver = tables.starver
+        self.span = [tables.columns_of(m) for m in col_rows]
+
+    def reach(self, r: int) -> int:
+        """The columns of the rows in ``conflict[r]``: the only columns
+        whose count can change when row r is chosen."""
+        span, m = self.span, self.row_cols[r]
+        acc = 0
+        while m:
+            low = m & -m
+            acc |= span[low.bit_length() - 1]
+            m ^= low
+        return acc
 
     def select(self, cols: int) -> int:
         """Column of ``cols`` with the fewest live rows; ties break to the
@@ -218,32 +215,13 @@ class ColumnCounts:
                 return (b & -b).bit_length() - 1
         raise ValueError("select on empty column set")
 
-    def starved(self, r: int, cols: int, rows: int) -> bool:
-        """True if ``(cols, rows)``, the child reached by choosing row r
-        from a state whose every column had a row, has a column with no
-        row; stops at the first such column."""
-        col_rows = self.col_rows
-        # tested in this order: shifting a wide ``cols`` costs the most
-        c = self.starver[r]
-        if c >= 0 and not col_rows[c] & rows and cols >> c & 1:
-            return True
-        todo = self.reach[r] & cols
-        while todo:
-            low = todo & -todo
-            c = low.bit_length() - 1
-            if not col_rows[c] & rows:
-                self.starver[r] = c
-                return True
-            todo ^= low
-        return False
-
-    def enter(self, r: int, cols: int, rows: int) -> list:
-        """Move to ``(cols, rows)``, the child reached by choosing row r;
-        returns the log that ``leave`` undoes, one ``(c, old, new)`` per
-        changed count."""
+    def enter(self, reach: int, cols: int, rows: int) -> list:
+        """Move to ``(cols, rows)``, the child reached by choosing a row
+        whose ``reach`` is given; returns the log that ``leave`` undoes,
+        one ``(c, old, new)`` per changed count."""
         col_rows, size, bucket = self.col_rows, self.size, self.bucket
         log = []
-        todo = self.reach[r] & cols
+        todo = reach & cols
         while todo:
             low = todo & -todo
             todo ^= low

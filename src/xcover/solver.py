@@ -16,12 +16,11 @@ beside the masks, to be undone once the state's node is built:
                decision nodes per interacting row; output is a ZBDD.
                The column sizes live in a ``masks.ColumnCounts``,
                recounted along each edge, in place of dxd's popcounts.
-               A searched state in which the row choice left a live
-               column without a live row is BOTTOM at once
-               (``ColumnCounts.starved``), before any recount, as
-               dancing links backtracks on an empty column.  The column
-               that last starved a child of each row is remembered
-               (``MaskTables.starver``) and tested first.
+               A searched state whose chosen column has no live row is
+               BOTTOM, as dancing links backtracks on an empty column;
+               the column is remembered for the row choice
+               (``MaskTables.starver``) and tested first next time, so
+               such a state usually ends before any recount.
                The counts only pay while a row choice leaves some live
                column out of its reach: the first state whose row can
                change every live count, and its whole subtree, branch
@@ -35,10 +34,10 @@ beside the masks, to be undone once the state's node is built:
                fill over per-row conflict masks), solves the components
                separately and joins them; output is zero-suppressed
                decision-DNNF.
-               A state reached by a row is tested for a starved column
-               first, as in dxz's popcount subtree: the column in
-               ``MaskTables.starver`` for its row choice, then a
-               ``select_column`` scan.  A dead state is BOTTOM before
+               A state reached by a row is tested for an empty column
+               first, as in dxz: the column in ``MaskTables.starver``
+               for its row choice, then a ``select_column`` scan, which
+               chooses the column.  A dead state is BOTTOM before
                any flood fill, whatever its components; a live one
                that does not split branches on the column already
                chosen.  A root or a join's component, reached by no
@@ -312,6 +311,10 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     searched against the same set, and each leaves it as it found it.
     A join's component is connected by construction, so its state runs
     no flood fill and no ``find_cc`` walk.
+    Every engine has one dead-end test: ``starver[via]``, then the chosen
+    column.  A state whose chosen column has no live row is BOTTOM (a
+    dxz state entered on the counts is left again as its frame pops at
+    once), and that column goes to ``starver[via]``.
     A dxz state whose row ``via`` reaches every live column is not
     entered on the counts: it and its subtree branch on popcounts, with
     ``undo`` None, until its frame is popped.
@@ -338,28 +341,30 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
             node = BOTTOM
             undo = parts = None
             todo = 0
-            if counts is not None and uncounted < 0 and (
-                    via is None or reach[via] & cols != cols):
-                # a child in which a column lost its last row stays BOTTOM
-                if via is None or not counts.starved(via, cols, rows):
-                    if via is not None:
-                        undo = counts.enter(via, cols, rows)
-                    todo = col_rows[counts.select(cols)] & rows
+            # a child in which a live column lost its last row stays
+            # BOTTOM; the column that last did so to a child of via is
+            # tested first (in this order: shifting a wide cols costs most)
+            if via is not None and (c := starver[via]) >= 0 and not (
+                    col_rows[c] & rows) and cols >> c & 1:
+                pass
+            elif counts is not None and uncounted < 0 and (
+                    via is None or (near := reach(via)) & cols != cols):
+                if via is not None:
+                    undo = counts.enter(near, cols, rows)
+                c = counts.select(cols)
+                todo = col_rows[c] & rows
+                if not todo and via is not None:
+                    starver[via] = c    # its frame leaves the counts at once
             elif counts is None and (
                     r := t.single_full_row(cols, rows)) is not None:
                 node = store.mk_literal(r)
             else:
                 comps = ()
                 if via is not None:
-                    # a child in which a column lost its last row stays
-                    # BOTTOM: the column that last starved a child of via,
-                    # else a scan
-                    c = starver[via]
-                    if c < 0 or col_rows[c] & rows or not cols >> c & 1:
-                        c = t.select_column(cols, rows)
-                        todo = col_rows[c] & rows
-                        if not todo:
-                            starver[via] = c
+                    c = t.select_column(cols, rows)
+                    todo = col_rows[c] & rows
+                    if not todo:
+                        starver[via] = c
                 if counts is not None:
                     # dxz at or below a state whose row can change every
                     # live count: a branch on popcounts, entering nothing,

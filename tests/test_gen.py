@@ -74,6 +74,16 @@ def test_k4_cycle_census():
     assert capped.n_rows == 2
 
 
+def test_cycle_longer_than_the_recursion_limit():
+    # the walk keeps one stack entry per path vertex, not one interpreter
+    # frame: a 3,000-vertex ring is one cycle, one row of 3,000 columns
+    n = 3000
+    ring = GraphInput(n, tuple((v, (v + 1) % n) for v in range(n)))
+    inst = generate(ring, GenConfig(fraction=1.0, max_cycle_len=n, seed=0))
+    assert inst.n_cols == n
+    assert inst.rows == (("S0", tuple(range(n))),)
+
+
 def test_fraction_controls_columns():
     inst = generate(K4, GenConfig(fraction=0.5, seed=3))
     assert inst.n_cols == 2  # ceil(0.5 * 4)

@@ -143,9 +143,10 @@ def test_column_counts_follow_a_random_descent(seed):
         if not choices:
             break
         r = rng.choice(choices)
+        assert counts.reach(r) == t.columns_of(t.conflict[r])
         saved = (list(counts.size), list(counts.bucket))
         cols, rows = cols & ~t.row_cols[r], rows & ~t.conflict[r]
-        path.append((saved, counts.enter(r, cols, rows)))
+        path.append((saved, counts.enter(counts.reach(r), cols, rows)))
         for d in m.row_columns(r):
             m.cover(d)
     for saved, log in reversed(path):
@@ -153,13 +154,13 @@ def test_column_counts_follow_a_random_descent(seed):
         assert (counts.size, counts.bucket) == saved
 
 
-@given(st.integers(0, 10 ** 6), st.booleans())
-def test_starved_children_along_a_random_descent(seed, scramble):
+@given(st.integers(0, 10 ** 6))
+def test_starved_children_along_a_random_descent(seed):
     # at each state of a random descent, every child (one per row of the
-    # chosen column) is starved exactly when a live column has no live
-    # row: by popcount, and by dancing links choosing a column of size 0;
-    # with ``scramble``, every row's starver memo is first set to an
-    # arbitrary column, live or dead, with rows or without
+    # chosen column) is entered on the counts: their column choice is an
+    # empty column exactly when a live column has no live row, by
+    # popcount and by dancing links choosing a column of size 0; leaving
+    # the child restores the parent's counts exactly
     rng = random.Random(seed)
     inst = random_instance(rng, max_rows=14, max_cols=10)
     if rng.random() < 0.5:
@@ -169,14 +170,16 @@ def test_starved_children_along_a_random_descent(seed, scramble):
     cols, rows = (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1
     counts = ColumnCounts(t, rows)
     while cols:
-        if scramble:
-            t.starver[:] = [rng.randrange(-1, inst.n_cols)
-                            for _ in t.starver]
         c = counts.select(cols)
         fed = []
         for r in bits(t.col_rows[c] & rows):
             child = cols & ~t.row_cols[r], rows & ~t.conflict[r]
-            starved = counts.starved(r, *child)
+            saved = (list(counts.size), list(counts.bucket))
+            log = counts.enter(counts.reach(r), *child)
+            starved = bool(child[0]) and not counts.size[counts.select(
+                child[0])]
+            counts.leave(log)
+            assert (counts.size, counts.bucket) == saved
             assert starved == any(
                 (t.col_rows[d] & child[1]).bit_count() == 0
                 for d in bits(child[0]))
@@ -192,7 +195,7 @@ def test_starved_children_along_a_random_descent(seed, scramble):
         if not fed:
             break
         r, (cols, rows) = rng.choice(fed)
-        counts.enter(r, cols, rows)
+        counts.enter(counts.reach(r), cols, rows)
         for d in m.row_columns(r):
             m.cover(d)
 
@@ -214,7 +217,7 @@ def test_column_without_rows_is_chosen_first():
     counts = ColumnCounts(t, 0b11)
     cols, rows = 0b11 & ~t.row_cols[1], 0b11 & ~t.conflict[1]
     assert (cols, rows) == (0b10, 0)
-    counts.enter(1, cols, rows)
+    counts.enter(counts.reach(1), cols, rows)
     assert counts.size[1] == 0 and counts.bucket[0] & 0b10
     assert counts.select(cols) == 1
 

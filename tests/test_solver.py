@@ -380,8 +380,7 @@ def log_calls(monkeypatch, log, *methods):
         monkeypatch.setattr(cls, name, logged)
 
 
-KERNEL_CALLS = ((ColumnCounts, "starved", "starved"),
-                (ColumnCounts, "enter", "enter"),
+KERNEL_CALLS = ((ColumnCounts, "enter", "enter"),
                 (MaskTables, "select_column", "select_column"))
 
 
@@ -389,16 +388,17 @@ def test_pentomino_dxz_ends_starved_states_uncounted(monkeypatch):
     # below the root's children on pentomino 3x20, a chosen row reaches
     # every live column, so dxz's counts would be rewritten on nearly
     # every edge: those states branch on popcounts (select_column, which
-    # also finds a starved column) and nothing is entered; the counts
-    # serve only the root's children, where a row choice leaves some
-    # live column out of reach
+    # also finds an empty column) and nothing is entered; the counts
+    # serve only the root's 18 children, where a row choice leaves some
+    # live column out of reach, 2 of them dead (their chosen column is
+    # empty)
     log = []
     log_calls(monkeypatch, log, *KERNEL_CALLS)
     rep = run(pentomino_instance(), "dxz")
     assert (rep.count, rep.nodes) == (8, 75)
     assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
     assert {tag: log.count(tag) for _, _, tag in KERNEL_CALLS} == \
-        {"starved": 18, "enter": 16, "select_column": 8359}
+        {"enter": 18, "select_column": 8359}
 
 
 def test_ladder_dxz_keeps_its_counts(demo, monkeypatch):
@@ -435,8 +435,8 @@ def test_dxz_resumes_counts_after_a_popcount_subtree(demo, monkeypatch, k):
 def exact_enter(enter):
     """``ColumnCounts.enter`` that then checks every live column's count
     against a popcount of the child's rows."""
-    def checked(self, r, cols, rows):
-        log = enter(self, r, cols, rows)
+    def checked(self, reach, cols, rows):
+        log = enter(self, reach, cols, rows)
         assert all(self.size[c] == (self.col_rows[c] & rows).bit_count()
                    for c in range(len(self.size)) if cols >> c & 1)
         return log
