@@ -9,13 +9,16 @@ Counts are always printed as exact decimal strings; the JSON and CSV
 schemas are stable:
 
 * JSON keys: instance, engine, threads, count, nodes, subs, time_ms,
-  cache_hits, cache_misses
+  cache_hits, cache_misses, dead
 * CSV columns: instance,engine,threads,count,nodes,subs,time_ms,status
   with status one of ok | TO | error
 
 ``subs`` is the number of components of the joins that the search
 built, summed over those joins: always 0 for dxz.  A state that ends
 BOTTOM builds no join, so it counts none, whatever its components.
+``dead`` counts the dead ends: states reached by a row in which a live
+column has no live row.  Each is BOTTOM in its parent, neither cached
+nor counted in ``cache_misses``.
 
 Exit status 0 on success, 2 on usage, I/O, or parse errors.  Bench
 timeouts are reported as TO rows, and an instance an engine refuses
@@ -86,6 +89,7 @@ def _report_dict(name, rep) -> dict:
         "time_ms": round(rep.time_ms, 3),
         "cache_hits": rep.stats.cache_hits,
         "cache_misses": rep.stats.cache_misses,
+        "dead": rep.stats.dead,
     }
 
 

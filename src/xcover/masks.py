@@ -10,12 +10,15 @@ question the search asks:
 * ``row_cols[r]``  the columns of row r;
 * ``conflict[r]``  the rows sharing a column with r, r included.
 
-One more list, ``starver[r]``, is the one field the search writes: the
-column that last left a child of row r with no live row, or -1.  A
-child of r in which that column is still live and still has no live row
-is a dead end, found with one test instead of a column choice.  The
-memo is only ever checked against the child's own masks, so it can
-make a search faster but never changes its result, whatever it holds.
+One more field, ``starver``, is the one the search writes: two lists,
+a slot each, where ``starver[0][r]`` is the column that last left a
+child of row r with no live row and ``starver[1][r]`` the one before
+it, or -1.  A child of r in which either column is still live and still
+has no live row is a dead end, found with a test or two instead of a
+column choice; two slots catch a row whose children starve on two
+columns in turn.  The memo is only ever checked against the child's
+own masks, so it can make a search faster but never changes its result,
+whatever it holds.
 
 Choosing row r turns ``(cols, rows)`` into
 ``(cols & ~row_cols[r], rows & ~conflict[r])``.  The parent pair is left
@@ -41,17 +44,22 @@ on a block-diagonal ladder.  Where the chosen row can reach every live
 column, the recount and its undo cost more than the popcounts, so dxz
 branches there as dxd does.
 
-Every engine ends a dead end the same way: a state reached by row r is
-BOTTOM when ``starver[r]`` names a live column with no live row, or
-else when the column that it chooses, on counts or by popcount, has no
-live row, which ``starver[r]`` then remembers.  On pentomino 3x20, dxz
-enters the 18 children of the root on the counts, 2 of them dead;
-below those, every chosen row reaches every live column, so
-``select_column`` picks the column of the other non-root states, of
-16,918 in all.  dxd ends a dead end before it looks for components, so
-it costs no flood fill: of its 16,933 searched states, 5,292 run
-``components``, and about 11,600 end BOTTOM before it.  A join's
-components are connected by construction and run none.
+Every engine ends a dead end the same way, in its parent, with no
+frame and no cache entry: a state reached by row r is BOTTOM when a
+memo slot of r names a live column with no live row, tested before the
+cache, or else when the column that it chooses, on counts or by
+popcount, has no live row, which then takes r's first slot.  On
+pentomino 3x20, dxz enters the 18 children of the root on the counts,
+2 of them dead; below those, every chosen row reaches every live
+column, so ``select_column`` picks the column of the other states that
+the memo does not end: 7,265 calls for 5,298 searched states and 12,386
+dead ends.  dxd ends a dead end before it looks for components, so it
+costs no flood fill: of its 5,304 searched states, 5,292 run
+``components``, and its 12,394 dead ends none.  A join's components are
+connected by construction and run none either.
+
+``ColumnCounts.span`` is built row by row, one OR per cell, from the
+``(row, columns)`` pairs that ``MaskTables`` keeps as ``cells``.
 """
 
 from __future__ import annotations
@@ -62,12 +70,13 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
 
 
 class MaskTables:
-    __slots__ = ("col_rows", "row_cols", "conflict", "starver")
+    __slots__ = ("cells", "col_rows", "row_cols", "conflict", "starver")
 
     def __init__(self, n_cols: int, rows):
         """``rows`` yields ``(row_id, column_ids)`` pairs; every column id
-        is below ``n_cols``.  Rows that are not given stay empty."""
-        rows = list(rows)
+        is below ``n_cols``.  Rows that are not given stay empty.  The
+        pairs are kept, as ``cells``, for ``ColumnCounts``."""
+        self.cells = rows = list(rows)
         n_rows = max((r for r, _ in rows), default=-1) + 1
         col_rows = [0] * n_cols
         row_cols = [0] * n_rows
@@ -87,7 +96,7 @@ class MaskTables:
         self.col_rows = col_rows
         self.row_cols = row_cols
         self.conflict = conflict
-        self.starver = [-1] * n_rows
+        self.starver = ([-1] * n_rows, [-1] * n_rows)
 
     @classmethod
     def from_instance(cls, inst) -> "MaskTables":
@@ -189,11 +198,17 @@ class ColumnCounts:
         bucket = [0] * (max(size, default=0) + 1)
         for c, n in enumerate(size):
             bucket[n] |= 1 << c
+        row_cols = tables.row_cols
+        span = [0] * len(col_rows)
+        for r, cs in tables.cells:
+            m = row_cols[r]
+            for c in cs:
+                span[c] |= m
         self.col_rows = col_rows
-        self.row_cols = tables.row_cols
+        self.row_cols = row_cols
         self.size = size
         self.bucket = bucket
-        self.span = [tables.columns_of(m) for m in col_rows]
+        self.span = span
 
     def reach(self, r: int) -> int:
         """The columns of the rows in ``conflict[r]``: the only columns

@@ -10,17 +10,25 @@ interpreter's recursion limit, which ``solve`` leaves alone.  A frame is
 a searched state: a branch over the rows of its column, holding the
 chain of decision nodes built so far, or a join of components, holding
 their nodes so far.  It also holds what entering the state changed
-beside the masks, to be undone once the state's node is built:
+beside the masks, to be undone once the state's node is built.
+
+A dead end, a state reached by a row in which some live column has no
+live row, is not searched: it gets no frame and no cache entry, is not
+counted as a miss (``SolveStats.dead`` counts it), and its parent
+receives BOTTOM, as dancing links backtracks on an empty column.  Every
+engine first tests the two columns that last starved a child of the
+same row (``MaskTables.starver``), before the cache lookup, which could
+only miss; then the column choice finds the rest.  So the cache holds
+live states only, and hits, misses and dead ends are what they are
+whatever the memo holds.  The engines:
 
 * ``dxz``      branches on a minimum-size column and builds a chain of
                decision nodes per interacting row; output is a ZBDD.
                The column sizes live in a ``masks.ColumnCounts``,
                recounted along each edge, in place of dxd's popcounts.
-               A searched state whose chosen column has no live row is
-               BOTTOM, as dancing links backtracks on an empty column;
-               the column is remembered for the row choice
-               (``MaskTables.starver``) and tested first next time, so
-               such a state usually ends before any recount.
+               A dead end that the memo misses and that is entered on
+               the counts has its column in bucket 0, and leaves the
+               counts at once.
                The counts only pay while a row choice leaves some live
                column out of its reach: the first state whose row can
                change every live count, and its whole subtree, branch
@@ -35,10 +43,9 @@ beside the masks, to be undone once the state's node is built:
                separately and joins them; output is zero-suppressed
                decision-DNNF.
                A state reached by a row is tested for an empty column
-               first, as in dxz: the column in ``MaskTables.starver``
-               for its row choice, then a ``select_column`` scan, which
-               chooses the column.  A dead state is BOTTOM before
-               any flood fill, whatever its components; a live one
+               first, as in dxz: the memo, then a ``select_column``
+               scan, which chooses the column.  A dead end ends before
+               any flood fill, whatever its components; a live state
                that does not split branches on the column already
                chosen.  A root or a join's component, reached by no
                row, runs the flood fill first.
@@ -51,7 +58,7 @@ beside the masks, to be undone once the state's node is built:
                is still the join of its two components).
 * ``dyndxd``   is dxd with the components maintained incrementally by a
                dynconn.ComponentSet instead of the flood fill: on
-               entering a searched state that is not dead, the rows that
+               entering a searched state (never a dead end), the rows that
                its row choice removed leave the set in one batch (with
                their incident edges, each given once), and come back in
                one batch once the state's node is built.  The solve
@@ -114,12 +121,16 @@ class SolveConfig:
 
 
 class SolveStats:
-    """Search counters.  A worker process counts into a ``SolveStats`` of
+    """Search counters: cache hits and misses (a miss is a searched
+    state), dead ends (states reached by a row with a live column left
+    without rows, ended in their parent), components of joins and
+    worker processes.  A worker process counts into a ``SolveStats`` of
     its own, which the parent adds in with its results."""
 
     def __init__(self):
         self.cache_hits = 0
         self.cache_misses = 0
+        self.dead = 0
         self.subs = 0
         self.spawned = 0
 
@@ -141,7 +152,9 @@ class _Ctx:
 
     * ``engine``: "dxz", "dxd" or "dyndxd".
     * ``store``: the ``NodeStore`` the search interns its nodes into.
-    * ``cache``: the node of each searched state, keyed by its column mask.
+    * ``cache``: the node of each searched state, keyed by its column
+      mask.  It holds no dead end: only the root may be cached BOTTOM
+      for a column without rows.
     * ``stats``: the ``SolveStats`` the search counts into.
     * ``pool``: the thread count while the root may still split over
       worker processes (``_split_root``).  None once the root's frame is
@@ -304,17 +317,20 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     column as children and chains each satisfiable one into ``node`` as
     it returns.  A join replaces each of its components in ``parts`` by
     its node and runs ``mk_join`` after the last.  A state that ends at
-    once (a literal, BOTTOM) is a frame with no children.  ``undo`` is
-    dxz's ``ColumnCounts`` log, or the rows and edges that dyndxd's row
-    choice removed from ``ctx.cs`` (none for a dead state, which ends
-    before any component search); the components of a join are
-    searched against the same set, and each leaves it as it found it.
-    A join's component is connected by construction, so its state runs
-    no flood fill and no ``find_cc`` walk.
-    Every engine has one dead-end test: ``starver[via]``, then the chosen
-    column.  A state whose chosen column has no live row is BOTTOM (a
-    dxz state entered on the counts is left again as its frame pops at
-    once), and that column goes to ``starver[via]``.
+    once (a literal, a root without cover) is a frame with no children.
+    ``undo`` is dxz's ``ColumnCounts`` log, or the rows and edges that
+    dyndxd's row choice removed from ``ctx.cs``; the components of a
+    join are searched against the same set, and each leaves it as it
+    found it.  A join's component is connected by construction, so its
+    state runs no flood fill and no ``find_cc`` walk.
+    A state reached by row ``via`` is a dead end when a live column has
+    no live row.  It is found by the memo's two columns for ``via``,
+    tested before the cache, or else by the chosen column, which then
+    takes the memo's first slot.  A dead end pushes no frame and leaves
+    no cache entry: BOTTOM goes straight to its parent, after a dxz
+    child entered on the counts has left them again.  It runs no
+    component search, sets no popcount subtree and counts in
+    ``stats.dead``, not in ``stats.cache_misses``.
     A dxz state whose row ``via`` reaches every live column is not
     entered on the counts: it and its subtree branch on popcounts, with
     ``undo`` None, until its frame is popped.
@@ -322,7 +338,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     over worker processes (``_split_root``)."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
-    starver = t.starver
+    last, prev = t.starver
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
     reach = None if counts is None else counts.reach
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
@@ -334,27 +350,31 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
         _check_deadline(ctx)
         if not cols:
             node = TOP
+        elif via is not None and (c := last[via]) >= 0 and (
+                not col_rows[c] & rows and cols >> c & 1
+                or (c := prev[via]) >= 0 and not col_rows[c] & rows
+                and cols >> c & 1):
+            # a column that starved an earlier child of via starves this
+            # one too (in this order: shifting a wide cols costs most).
+            # prev[via] is set only once last[via] is
+            stats.dead += 1
+            node = BOTTOM
         elif (node := cache.get(cols)) is not None:
             stats.cache_hits += 1
         else:
-            stats.cache_misses += 1
             node = BOTTOM
             undo = parts = None
             todo = 0
-            # a child in which a live column lost its last row stays
-            # BOTTOM; the column that last did so to a child of via is
-            # tested first (in this order: shifting a wide cols costs most)
-            if via is not None and (c := starver[via]) >= 0 and not (
-                    col_rows[c] & rows) and cols >> c & 1:
-                pass
-            elif counts is not None and uncounted < 0 and (
+            dead = False
+            if counts is not None and uncounted < 0 and (
                     via is None or (near := reach(via)) & cols != cols):
                 if via is not None:
                     undo = counts.enter(near, cols, rows)
                 c = counts.select(cols)
                 todo = col_rows[c] & rows
                 if not todo and via is not None:
-                    starver[via] = c    # its frame leaves the counts at once
+                    counts.leave(undo)      # a dead child is left at once
+                    dead = True
             elif counts is None and (
                     r := t.single_full_row(cols, rows)) is not None:
                 node = store.mk_literal(r)
@@ -363,16 +383,15 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                 if via is not None:
                     c = t.select_column(cols, rows)
                     todo = col_rows[c] & rows
-                    if not todo:
-                        starver[via] = c
-                if counts is not None:
+                    dead = not todo
+                if dead:
+                    pass        # no component search, nothing to undo
+                elif counts is not None:
                     # dxz at or below a state whose row can change every
                     # live count: a branch on popcounts, entering nothing,
                     # until that state's frame is popped
                     if uncounted < 0:
                         uncounted = len(stack)
-                elif via is not None and not todo:
-                    pass        # dead: no component search, nothing to undo
                 elif joined:
                     pass        # a join's component is connected already
                 elif cs is None:
@@ -402,14 +421,22 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
                         parts = None    # a root's column interacts no row
                 elif via is None:
                     todo = col_rows[t.select_column(cols, rows)] & rows
-            stack.append([cols, rows, undo, todo, -1, node, parts])
-            if split is not None:
-                ctx.pool = None         # only the root's frame may split
-                node = _split_root(stack[0], split, ctx)
-                if node is not None:
-                    return node
-                split = None
-            node = None
+            if dead:
+                # BOTTOM for the parent, with no frame and no cache entry;
+                # c goes first in via's memo
+                prev[via] = last[via]
+                last[via] = c
+                stats.dead += 1
+            else:
+                stats.cache_misses += 1
+                stack.append([cols, rows, undo, todo, -1, node, parts])
+                if split is not None:
+                    ctx.pool = None     # only the root's frame may split
+                    node = _split_root(stack[0], split, ctx)
+                    if node is not None:
+                        return node
+                    split = None
+                node = None
         # give node to its parent frame, and pop each frame that is done,
         # until one has a child left to search
         while stack:
@@ -517,6 +544,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
                 nodes[i] = ids[node]
             stats.cache_hits += worker.cache_hits
             stats.cache_misses += worker.cache_misses
+            stats.dead += worker.dead
             stats.subs += worker.subs
     except BaseException:
         for pid, _ in procs:

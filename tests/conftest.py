@@ -83,10 +83,12 @@ def dlx_search(inst: Instance, decompose: bool):
     column id, rows in id order, cache on the live columns) and, with
     ``decompose``, dxd's too: a single row covering every live column is
     a literal, and two or more ``bfs_components`` are each searched in a
-    ``decompose_matrix`` submatrix of their own and joined.  Returns the
-    store, the root and ``(subs, cache hits, cache misses)``; subs counts
-    the components of the joins built, none for a BOTTOM state."""
-    store, cache, traffic = NodeStore(), {}, [0, 0, 0]
+    ``decompose_matrix`` submatrix of their own and joined.  A branch
+    child with a live column of size 0 is a dead end: BOTTOM, neither
+    searched nor cached nor counted as a miss.  Returns the store, the
+    root and ``(subs, cache hits, cache misses, dead ends)``; subs
+    counts the components of the joins built, none for a BOTTOM state."""
+    store, cache, traffic = NodeStore(), {}, [0, 0, 0, 0]
 
     def search(m):
         key = m.live_col_mask
@@ -112,6 +114,10 @@ def dlx_search(inst: Instance, decompose: bool):
         cache[key] = node
         return node
 
+    def dead(m):
+        return not m.is_empty() and next(
+            m.interacting_rows(m.select_column()), None) is None
+
     def branch(m):
         c = m.select_column()
         m.cover(c)
@@ -120,9 +126,12 @@ def dlx_search(inst: Instance, decompose: bool):
             others = [d for d in m.row_columns(r) if d != c]
             for d in others:
                 m.cover(d)
-            beta = search(m)
-            if beta != BOTTOM:
-                alpha = store.mk_decision(r, beta, alpha)
+            if dead(m):
+                traffic[3] += 1
+            else:
+                beta = search(m)
+                if beta != BOTTOM:
+                    alpha = store.mk_decision(r, beta, alpha)
             for d in reversed(others):
                 m.uncover(d)
         m.uncover(c)

@@ -11,7 +11,7 @@ from xcover.solver import SolveConfig, solve
 from conftest import DEMO_MATRIX, DEMO_ROWS, DEMO_XC
 
 JSON_KEYS = {"instance", "engine", "threads", "count", "nodes", "subs",
-             "time_ms", "cache_hits", "cache_misses"}
+             "time_ms", "cache_hits", "cache_misses", "dead"}
 
 
 @pytest.fixture

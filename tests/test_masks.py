@@ -133,6 +133,7 @@ def test_column_counts_follow_a_random_descent(seed):
     m = DlxMatrix.from_instance(inst)
     cols, rows = (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1
     counts = ColumnCounts(t, rows)
+    assert counts.span == [t.columns_of(m) for m in t.col_rows]
     path = []
     while cols:
         assert all(counts.size[c] == (t.col_rows[c] & rows).bit_count()
@@ -241,5 +242,7 @@ def test_dxz_solve_after_a_timeout_is_unchanged(pentomino_dxz, monkeypatch):
     rep = solve(inst, SolveConfig(engine="dxz"))
     assert rep.store.dump(rep.root) == \
         pentomino_dxz.store.dump(pentomino_dxz.root)
-    assert (rep.stats.cache_hits, rep.stats.cache_misses) == \
-        (pentomino_dxz.stats.cache_hits, pentomino_dxz.stats.cache_misses)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses,
+            rep.stats.dead) == (pentomino_dxz.stats.cache_hits,
+                                pentomino_dxz.stats.cache_misses,
+                                pentomino_dxz.stats.dead)

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import xcover
 from xcover import solver
-from xcover.diagram import NodeStore, _bits
+from xcover.diagram import BOTTOM, NodeStore, _bits
 from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
@@ -30,12 +30,19 @@ from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
 
 from conftest import (DEMO_COVERS, dlx_search, pentomino_instance,
                       random_instance)
+from test_acceptance import corpus
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
 
 
 def run(inst, engine, **kw):
     return solve(inst, SolveConfig(engine=engine, **kw))
+
+
+def traffic_of(rep):
+    """A report's counters in the order of ``dlx_search``'s traffic."""
+    st = rep.stats
+    return st.subs, st.cache_hits, st.cache_misses, st.dead
 
 
 @pytest.mark.parametrize("engine", DIAGRAM_ENGINES)
@@ -116,13 +123,16 @@ def test_connected_instance_never_decomposes():
         assert rep.stats.subs == 0
 
 
+# the root branches on column 0.  Choosing R0 leaves R1 and R2, two
+# components, but column 4 with no row: a dead end
+DEAD_END_ROWS = [[0, 2], [1], [3], [2, 4], [1, 2, 3], [0, 4]]
+
+
 def test_dead_state_ends_before_its_components(monkeypatch):
-    # the root branches on column 0.  Choosing R0 leaves R1 and R2, two
-    # components, but column 4 with no row: that state is BOTTOM before
-    # any flood fill or dynconn batch.  R5's child is live and searched
-    rows = [[0, 2], [1], [3], [2, 4], [1, 2, 3], [0, 4]]
+    # R0's child is BOTTOM before any flood fill or dynconn batch, and
+    # ends in its parent, uncached.  R5's child is live and searched
     inst = Instance.build([f"c{c}" for c in range(5)],
-                          [(f"R{i}", r) for i, r in enumerate(rows)])
+                          [(f"R{i}", r) for i, r in enumerate(DEAD_END_ROWS)])
     fills, batches = [], []
     components = MaskTables.components
     dec_update = ComponentSet.dec_update
@@ -138,13 +148,12 @@ def test_dead_state_ends_before_its_components(monkeypatch):
     monkeypatch.setattr(MaskTables, "components", fill)
     monkeypatch.setattr(ComponentSet, "dec_update", batch)
     store, root, traffic = dlx_search(inst, decompose=True)
-    assert traffic[0] == 0      # no join is built
+    assert traffic[0] == 0 and traffic[3] == 1  # no join; one dead end
     for engine in ("dxd", "dyndxd"):
         rep = run(inst, engine)
         assert rep.count == 1
         assert rep.store.dump(rep.root) == store.dump(root)
-        assert (rep.stats.subs, rep.stats.cache_hits,
-                rep.stats.cache_misses) == traffic
+        assert traffic_of(rep) == traffic
     # dxd fills the root and R5's child; dyndxd removes R5's conflicts
     assert fills == [[0, 1, 2, 3, 4, 5], [1, 2, 4]]
     assert batches == [[0, 3, 5]]
@@ -335,16 +344,19 @@ def test_block_diagonal_product_counts(demo):
 
 
 def test_pentomino_dxd_search_pinned(monkeypatch):
-    # of its 16,933 searched states, dxd scans the columns of at most
-    # 8,400: the starver memo ends most dead ends after one test.  A dead
-    # end ends before its flood fill, so at most 5,400 states run one
+    # of the 18,602 states that dxd reaches, 12,394 are dead ends: they
+    # end in their parent, uncached, and only the 5,304 live misses are
+    # searched.  dxd scans the columns of at most 7,300 states: the
+    # starver memo ends most dead ends after one test.  A dead end ends
+    # before its flood fill, so at most 5,400 states run one
     log = []
     log_calls(monkeypatch, log, (MaskTables, "select_column", "select"),
               (MaskTables, "components", "fill"))
     rep = run(pentomino_instance(), "dxd")
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 8)
-    assert rep.stats.cache_misses == 16933
-    assert log.count("select") <= 8400
+    assert (rep.stats.cache_hits, rep.stats.cache_misses,
+            rep.stats.dead) == (904, 5304, 12394)
+    assert log.count("select") <= 7300
     assert log.count("fill") <= 5400
 
 
@@ -366,7 +378,8 @@ def test_ladder_join_components_run_no_component_search(
 def test_pentomino_dxz_search_pinned(pentomino_dxz):
     rep = pentomino_dxz
     assert (rep.count, rep.nodes, rep.stats.subs) == (8, 75, 0)
-    assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses,
+            rep.stats.dead) == (902, 5298, 12386)
 
 
 def log_calls(monkeypatch, log, *methods):
@@ -391,14 +404,16 @@ def test_pentomino_dxz_ends_starved_states_uncounted(monkeypatch):
     # also finds an empty column) and nothing is entered; the counts
     # serve only the root's 18 children, where a row choice leaves some
     # live column out of reach, 2 of them dead (their chosen column is
-    # empty)
+    # empty, and they are left at once).  The two-slot memo ends most
+    # dead ends below them before any column scan
     log = []
     log_calls(monkeypatch, log, *KERNEL_CALLS)
     rep = run(pentomino_instance(), "dxz")
     assert (rep.count, rep.nodes) == (8, 75)
-    assert (rep.stats.cache_hits, rep.stats.cache_misses) == (1667, 16919)
+    assert (rep.stats.cache_hits, rep.stats.cache_misses,
+            rep.stats.dead) == (902, 5298, 12386)
     assert {tag: log.count(tag) for _, _, tag in KERNEL_CALLS} == \
-        {"enter": 18, "select_column": 8359}
+        {"enter": 18, "select_column": 7265}
 
 
 def test_ladder_dxz_keeps_its_counts(demo, monkeypatch):
@@ -428,8 +443,7 @@ def test_dxz_resumes_counts_after_a_popcount_subtree(demo, monkeypatch, k):
     assert "E" in order[order.index("P"):]
     store, root, traffic = dlx_search(inst, decompose=False)
     assert rep.store.dump(rep.root) == store.dump(root)
-    assert (rep.stats.subs, rep.stats.cache_hits,
-            rep.stats.cache_misses) == traffic
+    assert traffic_of(rep) == traffic
 
 
 def exact_enter(enter):
@@ -457,8 +471,7 @@ def test_dxz_counts_stay_exact_below_a_popcount_subtree(monkeypatch):
     rep = run(inst, "dxz")
     store, root, traffic = dlx_search(inst, decompose=False)
     assert rep.store.dump(rep.root) == store.dump(root)
-    assert (rep.stats.subs, rep.stats.cache_hits,
-            rep.stats.cache_misses) == traffic
+    assert traffic_of(rep) == traffic
 
 
 @given(st.integers(0, 10 ** 6))
@@ -475,8 +488,7 @@ def test_dxz_matches_dlx_on_random_blocks(seed):
     store, root, traffic = dlx_search(inst, decompose=False)
     assert rep.store.dump(rep.root) == store.dump(root)
     assert rep.count == store.count(root)
-    assert (rep.stats.subs, rep.stats.cache_hits,
-            rep.stats.cache_misses) == traffic
+    assert traffic_of(rep) == traffic
 
 
 @pytest.mark.parametrize("engine", DIAGRAM_ENGINES)
@@ -496,8 +508,7 @@ def masks_agree_with_dlx(inst):
         rep = run(inst, engine)
         store, root, traffic = dlx_search(inst, decompose=engine != "dxz")
         assert rep.store.dump(rep.root) == store.dump(root)
-        assert (rep.stats.subs, rep.stats.cache_hits,
-                rep.stats.cache_misses) == traffic
+        assert traffic_of(rep) == traffic
 
 
 def test_mask_kernel_matches_dlx_on_demo(demo):
@@ -516,13 +527,14 @@ def test_any_starver_memo_leaves_every_engine_unchanged(seed):
         inst = block_diagonal(inst, rng.randint(2, 3))
 
     class Scrambled(MaskTables):
-        # every row's memo starts as an arbitrary column, live or dead,
-        # with rows or without
+        # both slots of every row's memo start as arbitrary columns, live
+        # or dead, with rows or without
         __slots__ = ()
 
         def __init__(self, n_cols, rows):
             super().__init__(n_cols, rows)
-            self.starver = [rng.randrange(-1, n_cols) for _ in self.starver]
+            self.starver = tuple([rng.randrange(-1, n_cols) for _ in slot]
+                                 for slot in self.starver)
 
     for engine in DIAGRAM_ENGINES:
         fresh = run(inst, engine)
@@ -532,8 +544,84 @@ def test_any_starver_memo_leaves_every_engine_unchanged(seed):
         for r in (fresh, rep):
             assert r.store.dump(r.root) == store.dump(root)
             assert r.count == store.count(root)
-            assert (r.stats.subs, r.stats.cache_hits,
-                    r.stats.cache_misses) == traffic
+            assert traffic_of(r) == traffic
+
+
+def dead_keys(inst, engine):
+    """The keys that a solve of ``inst`` caches, the root's aside, in
+    which some column has no row whose columns lie inside the key; the
+    cache is one that the test holds, in a context built by hand."""
+    cache = {}
+    ctx = _Ctx(engine, NodeStore(), cache, SolveStats(), None, None,
+               SolveConfig(engine=engine))
+    solver._solve_root(inst, ctx)
+    assert cache
+    row_cols = ctx.masks.row_cols
+    dead = []
+    for key in cache:
+        covered = 0
+        for m in row_cols:
+            if not m & ~key:
+                covered |= m
+        if covered != key and key != (1 << inst.n_cols) - 1:
+            dead.append(key)
+    return dead
+
+
+@pytest.mark.parametrize("engine", ["dxz", "dxd"])
+def test_pentomino_caches_no_dead_end(engine):
+    # pentomino 3x20 meets some 12,400 dead ends; each ends in its
+    # parent, and the cache holds the live states only
+    assert dead_keys(pentomino_instance(), engine) == []
+
+
+def test_corpus_caches_no_dead_end():
+    # a root may be dead (a column without rows) and is cached; no state
+    # reached by a row is, nor a join's component
+    for inst, _, _ in corpus():
+        for engine in DIAGRAM_ENGINES:
+            assert dead_keys(inst, engine) == []
+
+
+# row 0 covers column 0 alone.  Its child (0b10110, 0b10100) starves on
+# column 1 (row 1, its only row, is gone with column 3), and its child
+# (0b01110, 0b01010) on column 2 (row 2 is gone with column 4)
+STARVING_ROWS = [(0, [0]), (1, [1, 3]), (2, [2, 4]), (3, [3]), (4, [4])]
+
+
+def test_alternating_starvers_end_in_the_memo(monkeypatch):
+    # row 0's children starve on columns 1 and 2 in turn.  The memo keeps
+    # both columns, so after the first two children each one ends in it,
+    # with no column scan, no frame and no cache entry; a one-slot memo
+    # would scan every child
+    t = MaskTables(5, STARVING_ROWS)
+    log = []
+    log_calls(monkeypatch, log, (MaskTables, "select_column", "scan"))
+    ctx = _Ctx("dxd", NodeStore(), {}, SolveStats(), None, None,
+               SolveConfig(engine="dxd"), masks=t)
+    for cols, rows in [(0b10110, 0b10100), (0b01110, 0b01010)] * 3:
+        assert solver._mask_search(cols, rows, ctx, 0) == BOTTOM
+    assert log == ["scan", "scan"]
+    assert (t.starver[0][0], t.starver[1][0]) == (2, 1)
+    st = ctx.stats
+    assert (st.cache_hits, st.cache_misses, st.dead) == (0, 0, 6)
+    assert ctx.cache == {} and len(ctx.store) == 2
+
+
+def test_dead_child_on_the_counts_is_left_at_once():
+    # dxz enters row 0's child on the counts (row 0 reaches column 0
+    # only), finds column 1 empty, and leaves the counts as the parent's
+    # before the child ends in its parent
+    t = MaskTables(5, STARVING_ROWS)
+    ctx = _Ctx("dxz", NodeStore(), {}, SolveStats(), None, None,
+               SolveConfig(engine="dxz"), masks=t)
+    ctx.counts = counts = ColumnCounts(t, 0b10101)
+    before = (list(counts.size), list(counts.bucket))
+    assert solver._mask_search(0b10110, 0b10100, ctx, 0) == BOTTOM
+    assert (list(counts.size), list(counts.bucket)) == before
+    assert t.starver[0][0] == 1
+    assert (ctx.stats.cache_misses, ctx.stats.dead) == (0, 1)
+    assert ctx.cache == {}
 
 
 @given(st.integers(0, 10 ** 6))
@@ -633,17 +721,21 @@ def test_ladder_enumeration_memory_is_per_segment(demo):
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
 def test_thread_count_invariance(demo, threads):
     # the components of block_diagonal share no cache key, so the counts
-    # match the single-threaded run exactly: no worker's counts are lost
-    big = block_diagonal(demo, 6)
+    # match the single-threaded run exactly: no worker's counts are lost.
+    # Each block is the demo beside DEAD_END_ROWS, whose search meets
+    # dead ends, so every process that searches components counts some
+    rows = list(demo.rows) + [(f"X{i}", [6 + c for c in r])
+                              for i, r in enumerate(DEAD_END_ROWS)]
+    big = block_diagonal(Instance.build([f"c{c}" for c in range(11)], rows),
+                         4)
     for engine in ("dxd", "dyndxd"):
         ref = run(big, engine)
         rep = run(big, engine, threads=threads, spawn_threshold=1)
-        assert rep.count == 4 ** 6
+        assert rep.count == 4 ** 4
         assert rep.store.enumerate(rep.root, limit=5) == \
             ref.store.enumerate(ref.root, limit=5)
-        assert (rep.stats.cache_hits, rep.stats.cache_misses,
-                rep.stats.subs) == (ref.stats.cache_hits,
-                                    ref.stats.cache_misses, ref.stats.subs)
+        assert traffic_of(rep) == traffic_of(ref)
+        assert ref.stats.dead > 0
         if threads > 1:
             assert rep.stats.spawned > 0
         rep.store.check_canonical()
