@@ -27,12 +27,18 @@ Line 1 is ``<nrows> <ncols>``; names are derived as R1..Rn and C1..Cm.
 
 Names must be non-empty, contain no whitespace or ``:``, and must not
 start with ``#`` (so that serialized files parse back unambiguously).
+
+``Instance`` is the one check of what a valid instance is.  The ``xc``
+parser reads only syntax (the header's names, each row's ``:`` and the
+columns it names) and maps a fault that ``Instance`` raises to its line:
+a column's to the header's, a row's to that row's.  A parse error names
+the first faulty line in file order, the header first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, islice
 from operator import add, lt
 
 
@@ -91,31 +97,39 @@ class Instance:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("instance needs at least one column")
+        if len(set(self.columns)) != len(self.columns):
+            for c, name in enumerate(self.columns):
+                if self.columns.index(name) != c:   # its first repeat
+                    raise ValueError(f"duplicate column name {name!r}")
         if not _valid_names(self.columns):
             for name in self.columns:
                 if not _valid_name(name):
                     raise ValueError(f"bad column name {name!r}")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column name")
         if self.rows and not _rows_valid(self.rows, len(self.columns)):
             self._diagnose_rows()
 
     def _diagnose_rows(self):
-        """Raise the error of the first faulty row, one row at a time."""
+        """Raise the error of the first faulty row, one row at a time; its
+        ``row`` attribute is that row's index."""
         seen = set()
         n = len(self.columns)
-        for name, cols in self.rows:
+        for row, (name, cols) in enumerate(self.rows):
             if not _valid_name(name):
-                raise ValueError(f"bad row name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate row name {name!r}")
-            seen.add(name)
-            if not cols:
-                raise ValueError(f"row {name!r} is empty")
-            if any(c < 0 or c >= n for c in cols):
-                raise ValueError(f"row {name!r} references a column out of range")
-            if any(a >= b for a, b in zip(cols, cols[1:])):
-                raise ValueError(f"row {name!r} columns not strictly increasing")
+                fault = f"bad row name {name!r}"
+            elif name in seen:
+                fault = f"duplicate row name {name!r}"
+            elif not cols:
+                fault = f"row {name!r} is empty"
+            elif any(c < 0 or c >= n for c in cols):
+                fault = f"row {name!r} references a column out of range"
+            elif any(a >= b for a, b in zip(cols, cols[1:])):
+                fault = f"row {name!r} columns not strictly increasing"
+            else:
+                seen.add(name)
+                continue
+            err = ValueError(fault)
+            err.row = row
+            raise err
 
     @classmethod
     def build(cls, columns, rows) -> "Instance":
@@ -151,47 +165,42 @@ def _content_lines(text: str):
 
 
 def _parse_xc(text: str) -> Instance:
+    """Read the header and the rows, and let ``Instance`` check them.  At
+    the first line that does not parse, the lines before it are checked
+    first: its own fault is raised only when they are valid."""
     lines = _content_lines(text)
     try:
-        header_no, header = next(lines)
+        _, header = next(lines)
     except StopIteration:
         raise ParseError(1, "empty file") from None
-    columns = header.split()
-    col_index = {}
-    for name in columns:
-        if name in col_index:
-            raise ParseError(header_no, f"duplicate column name {name!r}")
-        col_index[name] = len(col_index)
-    # the header's names are split words already, and the header does not
-    # start with '#': only a ':', or a name that starts with '#' (a " #"
-    # once the names are joined by spaces), can make one bad
-    if ":" in header or ("#" in header and " #" in " ".join(columns)):
-        bad = next(name for name in columns if not _valid_name(name))
-        raise ParseError(header_no, f"bad column name {bad!r}")
-    find = col_index.__getitem__
+    columns = tuple(header.split())
+    find = {name: c for c, name in enumerate(columns)}.__getitem__
     rows = []
-    row_names = set()
+
+    def checked():
+        try:
+            return Instance(columns, tuple(rows))
+        except ValueError as exc:
+            # content line 0 is the header, which a column fault (no
+            # ``row``) is reported at; row i is content line i + 1
+            k = getattr(exc, "row", -1) + 1
+            lineno = next(islice(_content_lines(text), k, None))[0]
+            raise ParseError(lineno, str(exc)) from None
+
     for lineno, line in lines:
-        head, sep, rest = line.partition(":")
+        name, sep, refs = line.partition(":")
         if not sep:
+            checked()
             raise ParseError(lineno, "expected '<rowname>: <col> ...'")
-        # A valid row name is the one word before the first ':'; a leading
-        # '#' would have made the line a comment.
+        name = name.strip()
         try:
-            (name,) = head.split()
-        except ValueError:
-            raise ParseError(lineno, f"bad row name {head.strip()!r}") from None
-        if name in row_names:
-            raise ParseError(lineno, f"duplicate row name {name!r}")
-        row_names.add(name)
-        refs = rest.split()
-        if not refs:
-            raise ParseError(lineno, f"row {name!r} is empty")
-        try:
-            rows.append((name, tuple(sorted(set(map(find, refs))))))
+            rows.append((name, tuple(sorted(set(map(find, refs.split()))))))
         except KeyError as exc:
+            # with a stand-in column, a fault of the row's name comes first
+            rows.append((name, (0,)))
+            checked()
             raise ParseError(lineno, f"unknown column reference {exc.args[0]!r}") from None
-    return Instance(tuple(columns), tuple(rows))
+    return checked()
 
 
 _BITS = frozenset("01")

@@ -1,9 +1,9 @@
 """Brute-force exact-cover enumeration, used as ground truth in tests.
 
-Plain recursive backtracking over the instance: branch on the lowest
-uncovered column, try every row covering it that is disjoint from the
-partial cover.  No dancing links, no caching, no shared code with the
-compilation engines.
+Plain backtracking over the instance, on an explicit stack: branch on
+the lowest uncovered column, try every row covering it that is disjoint
+from the partial cover.  No dancing links, no caching, no shared code
+with the compilation engines.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ def enumerate_covers(inst, cap: int | None = None, deadline: float | None = None
             rows_by_col[c].append(i)
 
     found = []
-
-    def rec(covered: int, chosen: list):
+    chosen = []         # the partial cover, one row per frame
+    frames = []         # (covered, rows left to try) per state on the path
+    covered = 0
+    while True:
+        # enter the state that covers ``covered``
         if deadline is not None and time.monotonic() > deadline:
             from .solver import SolveTimeout
 
@@ -59,17 +62,19 @@ def enumerate_covers(inst, cap: int | None = None, deadline: float | None = None
             found.append(tuple(sorted(chosen)))
             if cap is not None and len(found) > cap:
                 raise CoverCapExceeded(cap, sorted(found))
-            return
-        c = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered column
-        for r in rows_by_col[c]:
-            if masks[r] & covered:
-                continue
-            chosen.append(r)
-            rec(covered | masks[r], chosen)
+            untried = iter(())
+        else:
+            c = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered column
+            untried = iter([r for r in rows_by_col[c] if not masks[r] & covered])
+        # take the next row of the deepest state that has one left
+        while (r := next(untried, None)) is None:
+            if not frames:
+                return sorted(found)
+            covered, untried = frames.pop()
             chosen.pop()
-
-    rec(0, [])
-    return sorted(found)
+        frames.append((covered, untried))
+        chosen.append(r)
+        covered |= masks[r]
 
 
 def count_covers(inst, cap: int | None = None, deadline: float | None = None) -> int:

@@ -308,9 +308,11 @@ def _mask_root(tables: MaskTables, cols: int, rows: int, ctx: _Ctx) -> int:
     return _mask_search(cols, rows, ctx)
 
 
-def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
+def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
+                 joined=False) -> int:
     """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
-    by choosing row ``via`` (None at a root).  A frame
+    by choosing row ``via`` (None at a root, or with ``joined`` set, at a
+    component of a join).  A frame
     of the stack is a list ``[cols, rows, undo, todo, i, node, parts]``:
     ``todo`` is a bitmask of the children not searched yet and ``i`` the
     one being searched.  A branch (``parts`` None) has the rows of its
@@ -344,7 +346,6 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None) -> int:
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
     stack = []
     uncounted = -1      # depth of dxz's first frame off its counts, or -1
-    joined = False      # (cols, rows) is a component of a join
     while True:
         # enter (cols, rows), reached by choosing row via (None at a root)
         _check_deadline(ctx)
@@ -528,7 +529,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
         stats.spawned += n
         for i, c, m, via in kids:
             if i not in dealt:
-                nodes[i] = _mask_search(c, m, ctx, via)
+                nodes[i] = _mask_search(c, m, ctx, via, via is None)
         for p in procs:
             with open(p[1], "rb") as f:
                 p[1] = None
@@ -542,10 +543,8 @@ def _split_root(frame, threads: int, ctx: _Ctx):
             ids = store.adopt(entries, base)
             for i, node in found:
                 nodes[i] = ids[node]
-            stats.cache_hits += worker.cache_hits
-            stats.cache_misses += worker.cache_misses
-            stats.dead += worker.dead
-            stats.subs += worker.subs
+            for name, value in vars(worker).items():
+                setattr(stats, name, getattr(stats, name) + value)
     except BaseException:
         for pid, _ in procs:
             os.kill(pid, signal.SIGKILL)
@@ -596,7 +595,7 @@ def _worker(kids, base: int, fd: int, ctx: _Ctx, parent: int, prctl):
             return
         try:
             ctx.stats = SolveStats()
-            found = [(i, _mask_search(c, m, ctx, via))
+            found = [(i, _mask_search(c, m, ctx, via, via is None))
                      for i, c, m, via in kids]
             store = ctx.store
             msg = (found, [store.entry(n) for n in range(base, len(store))],

@@ -55,12 +55,29 @@ def test_rows_of_column(demo):
     ("1 2\n: 1\n", 2),           # empty row name
     ("a:b c\nA: zz\n", 1),       # bad column name before a bad row
     ("a #b\nA B: a\n", 1),
+    # the first faulty line in file order wins, the header first
+    ("1 2\nA: 1\nA: 2\nB: zz\n", 3),  # a duplicate row before an unknown column
+    ("1 2\nB: zz\nA: 1\nA: 2\n", 2),  # an unknown column before a duplicate row
 ])
 def test_parse_xc_errors_carry_line(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_instance(text, "xc")
     assert err.value.line == lineno
     assert f"line {lineno}:" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\nA:\njunk\n", "line 2: row 'A' is empty"),
+    ("1 1\nA: zz\n", "line 1: duplicate column name '1'"),
+    ("1 2\nA B: zz\n", "line 2: bad row name 'A B'"),
+])
+def test_parse_xc_reports_the_first_faulty_line(text, message):
+    # a fault that Instance finds on an earlier line beats the syntax
+    # fault of a later one; within a line, a bad name beats an unknown
+    # column
+    with pytest.raises(ParseError) as err:
+        parse_instance(text, "xc")
+    assert str(err.value) == message
 
 
 MATRIX_ERRORS = {
@@ -111,7 +128,7 @@ def test_construction_rejects_empty_universe():
     (("a\u2028b",), (), r"bad column name 'a\u2028b'"),
     (("a", "b:c"), (), "bad column name 'b:c'"),
     (("a", "#b"), (), "bad column name '#b'"),
-    (("a", "b", "a"), (), "duplicate column name"),
+    (("a", "b", "a"), (), "duplicate column name 'a'"),
     (("a", "b"), (("R", (0,)), ("S T", (1,))), "bad row name 'S T'"),
     (("a", "b"), (("R:", (0,)),), "bad row name 'R:'"),
     (("a", "b"), (("#R", (0,)),), "bad row name '#R'"),

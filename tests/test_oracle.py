@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from xcover.gen import block_diagonal
 from xcover.instance import Instance
 from xcover.oracle import (MAX_FREE_ROWS, CoverCapExceeded, count_covers,
                            enumerate_covers)
@@ -63,6 +65,18 @@ def test_cap_exceeded_carries_partial():
     assert err.value.cap == 3
     assert len(err.value.partial) == 4  # raised at the first cover past the cap
     assert set(err.value.partial) <= set(all_covers)
+
+
+def test_cap_is_reached_below_the_recursion_limit(demo):
+    # every cover of k demo blocks takes at least 2k rows, more than the
+    # interpreter's recursion limit: the search must not recurse per row
+    k = sys.getrecursionlimit()
+    with pytest.raises(CoverCapExceeded) as err:
+        count_covers(block_diagonal(demo, k), cap=3)
+    partial = err.value.partial
+    assert len(partial) == 4 and partial == sorted(partial)
+    # the first is rows A and D of every block
+    assert partial[0] == tuple(6 * i + r for i in range(k) for r in (0, 3))
 
 
 def test_deadline_raises_timeout():

@@ -304,6 +304,38 @@ def test_dyndxd_builds_one_component_set(demo, monkeypatch, threads):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("engine, cls, name", [
+    ("dxd", MaskTables, "components"),
+    ("dyndxd", ComponentSet, "find_cc"),
+])
+def test_split_join_components_search_no_components(demo, monkeypatch,
+                                                    engine, cls, name):
+    # a component of the root's join is connected by construction, in the
+    # root split as in the loop: the solving process searches for
+    # components only at the root, as with threads=1 (a worker's calls
+    # are not counted here)
+    calls = []
+    search = getattr(cls, name)
+
+    def counted(self, arg):
+        calls.append(arg)
+        return search(self, arg)
+
+    monkeypatch.setattr(cls, name, counted)
+    big = block_diagonal(demo, 3)
+    ref = run(big, engine)
+    at_root = list(calls)
+    calls.clear()
+    rep = run(big, engine, threads=2, spawn_threshold=1)
+    assert rep.stats.spawned > 0 and calls == at_root
+    assert len(at_root) == (1 if engine == "dxd" else 6)     # 6 components
+    assert traffic_of(rep) == traffic_of(ref)
+    # node ids follow the order the processes intern in, so the diagrams
+    # are compared by size and covers, not by dump
+    assert rep.nodes == ref.nodes
+    assert rep.store.enumerate(rep.root) == ref.store.enumerate(ref.root)
+
+
 def _chorded_rings(count, size=9, chords=6, seed=1) -> GraphInput:
     # disjoint rings with random chords, as the benchmark's rings workload
     rng = random.Random(seed)
