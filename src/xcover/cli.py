@@ -37,7 +37,8 @@ from itertools import islice
 from pathlib import Path
 
 from .gen import GenConfig, generate, parse_graph
-from .instance import ParseError, parse_instance, serialize_instance
+from .instance import (ParseError, _content_lines, _digit_fields, parse_instance,
+                       serialize_instance)
 from .solver import ENGINES, SolveConfig, SolveTimeout, solve
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
@@ -61,15 +62,8 @@ def _detect_format(path: Path, text: str) -> str:
         return "xc"
     if path.suffix in (".matrix", ".mat"):
         return "matrix"
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            return "matrix"
-        break
-    return "xc"
+    first = next(_content_lines(text), (1, ""))[1]
+    return "matrix" if _digit_fields(first, 2) else "xc"
 
 
 def _load_instance(pathname: str):

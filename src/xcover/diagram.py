@@ -494,9 +494,12 @@ class NodeStore:
     def export_dot(self, n: NodeId, var_names=None) -> str:
         """Graphviz source.  Decision nodes show their variable with a
         solid edge to the positive branch and a dashed edge to the
-        negative; decomposable nodes are triangles; terminals boxes."""
+        negative; decomposable nodes are triangles; terminals boxes.
+        A label escapes ``\\`` and ``"``, so any name stays one DOT
+        string."""
         def name(v):
-            return str(var_names[v]) if var_names is not None else str(v)
+            text = str(var_names[v]) if var_names is not None else str(v)
+            return text.replace("\\", "\\\\").replace('"', '\\"')
         lines = ["digraph diagram {"]
         for m in sorted(self.reachable(n)):
             e = self._entries[m]

@@ -11,7 +11,12 @@ truncated by both a maximum cycle length and a maximum cycle count per
 component, since full enumeration is exponential.
 
 Graph files: first content line ``<n> <m>``, then m lines ``u v`` with
-0-based vertex ids; blank lines and ``#`` comments are skipped.
+0-based vertex ids; blank lines and ``#`` comments are skipped.  Every
+field is ASCII digits.  ``parse_graph`` reads only this syntax, and
+``GraphInput`` is the one check of a graph: the parser maps a fault of
+edge k to that edge's line.  Every parse error names its line: missing
+edges the header's, surplus edges the last one's.  At a line that does
+not parse, the edges before it are checked first.
 
 ``block_diagonal`` builds the disjoint union of k renamed copies of an
 instance; its cover count is the k-th power of the base count.
@@ -23,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .instance import Instance, ParseError, _content_lines
+from .instance import Instance, ParseError, _digit_fields, _header, _validated
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,15 @@ class GraphInput:
         if self.n < 0:
             raise ValueError("negative vertex count")
         norm = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            norm.add((u, v) if u < v else (v, u))
+        for edge, (u, v) in enumerate(self.edges):
+            in_range = 0 <= u < self.n and 0 <= v < self.n
+            if in_range and u != v:
+                norm.add((u, v) if u < v else (v, u))
+                continue
+            err = ValueError(f"self-loop at {u}" if in_range
+                             else f"edge ({u},{v}) out of range")
+            err.edge = edge   # parse_graph reports it at this edge's line
+            raise err
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     def adjacency(self) -> dict:
@@ -68,28 +76,23 @@ class GenConfig:
 
 
 def parse_graph(text: str) -> GraphInput:
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty graph file") from None
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(lineno, "expected '<n> <m>' header")
-    n, m = int(parts[0]), int(parts[1])
+    lines, header_no, header = _header(text, "empty graph file")
+    size = _digit_fields(header, 2)
+    if size is None:
+        raise ParseError(header_no, "expected '<n> <m>' header")
+    n, m = size
     edges = []
     for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        edge = _digit_fields(line, 2)
+        if edge is None:
+            _validated(text, GraphInput, n, tuple(edges))
             raise ParseError(lineno, "expected '<u> <v>' edge line")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(edge)
+    graph = _validated(text, GraphInput, n, tuple(edges))
     if len(edges) != m:
-        raise ParseError(lineno if edges else 1,
+        raise ParseError(header_no if len(edges) < m else lineno,
                          f"expected {m} edges, found {len(edges)}")
-    try:
-        return GraphInput(n, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    return graph
 
 
 def _component_order(adj) -> list:

@@ -27,12 +27,17 @@ Line 1 is ``<nrows> <ncols>``; names are derived as R1..Rn and C1..Cm.
 
 Names must be non-empty, contain no whitespace or ``:``, and must not
 start with ``#`` (so that serialized files parse back unambiguously).
+The integer fields of a header (here and in ``gen``'s graph files) and
+of a graph edge are ASCII digits: no sign, and no other digit that
+``str.isdigit`` accepts.
 
-``Instance`` is the one check of what a valid instance is.  The ``xc``
-parser reads only syntax (the header's names, each row's ``:`` and the
-columns it names) and maps a fault that ``Instance`` raises to its line:
-a column's to the header's, a row's to that row's.  A parse error names
-the first faulty line in file order, the header first.
+``Instance`` is the one check of what a valid instance is, as
+``gen.GraphInput`` is of a graph.  The parsers read only syntax (the
+``xc`` header's names, each row's ``:`` and the columns it names; the
+matrix shape and its 0/1 cells) and map a fault that ``Instance``
+raises to its line: a column's to the header's, a row's to that row's.
+Every parse error names its line, and it is the first faulty line in
+file order, the header first.
 """
 
 from __future__ import annotations
@@ -164,33 +169,53 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _header(text: str, empty: str = "empty file"):
+    """The first content line of ``text``, the header every format starts
+    with: the content lines after it, its number and its text."""
+    lines = _content_lines(text)
+    for lineno, header in lines:
+        return lines, lineno, header
+    raise ParseError(1, empty)
+
+
+def _digit_fields(line: str, n: int):
+    """The ``n`` fields of ``line`` as integers, or None unless it has
+    ``n`` fields of ASCII digits that ``int`` reads."""
+    fields = line.split()
+    digits = "".join(fields)
+    if len(fields) == n and digits.isascii() and digits.isdigit():
+        try:
+            return tuple(map(int, fields))
+        except ValueError:   # longer than sys.get_int_max_str_digits()
+            pass
+    return None
+
+
+def _validated(text: str, make, *args):
+    """``make(*args)``, where ``make`` is ``Instance`` or ``GraphInput``,
+    with a fault it raises mapped to its line in ``text``: content line
+    k + 1 holds record k (the fault's ``row`` or ``edge``), and any
+    other fault is the header's, content line 0."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        k = getattr(exc, "row", getattr(exc, "edge", -1)) + 1
+        lineno = next(islice(_content_lines(text), k, None))[0]
+        raise ParseError(lineno, str(exc)) from None
+
+
 def _parse_xc(text: str) -> Instance:
     """Read the header and the rows, and let ``Instance`` check them.  At
     the first line that does not parse, the lines before it are checked
     first: its own fault is raised only when they are valid."""
-    lines = _content_lines(text)
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file") from None
+    lines, _, header = _header(text)
     columns = tuple(header.split())
     find = {name: c for c, name in enumerate(columns)}.__getitem__
     rows = []
-
-    def checked():
-        try:
-            return Instance(columns, tuple(rows))
-        except ValueError as exc:
-            # content line 0 is the header, which a column fault (no
-            # ``row``) is reported at; row i is content line i + 1
-            k = getattr(exc, "row", -1) + 1
-            lineno = next(islice(_content_lines(text), k, None))[0]
-            raise ParseError(lineno, str(exc)) from None
-
     for lineno, line in lines:
         name, sep, refs = line.partition(":")
         if not sep:
-            checked()
+            _validated(text, Instance, columns, tuple(rows))
             raise ParseError(lineno, "expected '<rowname>: <col> ...'")
         name = name.strip()
         try:
@@ -198,9 +223,9 @@ def _parse_xc(text: str) -> Instance:
         except KeyError as exc:
             # with a stand-in column, a fault of the row's name comes first
             rows.append((name, (0,)))
-            checked()
+            _validated(text, Instance, columns, tuple(rows))
             raise ParseError(lineno, f"unknown column reference {exc.args[0]!r}") from None
-    return checked()
+    return _validated(text, Instance, columns, tuple(rows))
 
 
 _BITS = frozenset("01")
@@ -215,33 +240,36 @@ def _ones(bits) -> tuple:
 
 
 def _parse_matrix(text: str) -> Instance:
-    lines = _content_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file") from None
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    """Read the shape and the grid, and let ``Instance`` check them, as
+    ``_parse_xc`` does."""
+    lines, header_no, header = _header(text)
+    shape = _digit_fields(header, 2)
+    if shape is None:
         raise ParseError(header_no, "expected '<nrows> <ncols>'")
-    n_rows, n_cols = int(parts[0]), int(parts[1])
-    if n_cols == 0:
-        raise ParseError(header_no, "instance needs at least one column")
+    n_rows, n_cols = shape
     rows = []
-    for i in range(n_rows):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(header_no, f"expected {n_rows} matrix rows") from None
+
+    def checked(width):
+        columns = tuple(f"C{c + 1}" for c in range(width))
+        return _validated(text, Instance, columns, tuple(rows))
+
+    def fault(lineno, message):
+        # the rows before ``lineno`` are checked first; before the first
+        # row, one stand-in column checks the header's one fault (no
+        # columns) without building n_cols names
+        checked(n_cols if rows else min(n_cols, 1))
+        return ParseError(lineno, message)
+
+    for lineno, line in lines:
+        if len(rows) == n_rows:
+            raise fault(lineno, "trailing content after matrix rows")
         bits = line.split()
         if len(bits) != n_cols or not _BITS.issuperset(bits):
-            raise ParseError(lineno, f"expected {n_cols} 0/1 entries")
-        cols = _ones(bits)
-        if not cols:
-            raise ParseError(lineno, f"row R{i + 1} is empty")
-        rows.append((f"R{i + 1}", cols))
-    for lineno, _ in lines:
-        raise ParseError(lineno, "trailing content after matrix rows")
-    return Instance(tuple(f"C{c + 1}" for c in range(n_cols)), tuple(rows))
+            raise fault(lineno, f"expected {n_cols} 0/1 entries")
+        rows.append((f"R{len(rows) + 1}", _ones(bits)))
+    if len(rows) < n_rows:
+        raise fault(header_no, f"expected {n_rows} matrix rows")
+    return checked(n_cols)
 
 
 def parse_instance(source, fmt: str = "xc") -> Instance:

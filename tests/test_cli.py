@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,36 @@ def test_compile_dot_and_enumerate(demo_file, tmp_path, capsys):
     assert 'label="A"' in text  # row names label the decision nodes
     out = capsys.readouterr().out.splitlines()
     assert out == ["A D", "A E F"]
+
+
+def test_compile_dot_escapes_row_names(tmp_path):
+    # rows named a"b and c\ label their nodes as valid DOT strings
+    f = tmp_path / "quoted.xc"
+    f.write_text('1 2\na"b: 1\nc\\: 2\n')
+    dot = tmp_path / "quoted.dot"
+    assert main(["compile", str(f), "--dot", str(dot)]) == 0
+    text = dot.read_text()
+    assert 'label="a\\"b"' in text and 'label="c\\\\"' in text
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"\];$', text, re.M)
+    assert len(labels) == text.count("label=")
+    assert {'a"b', "c\\"} <= {re.sub(r"\\(.)", r"\1", x) for x in labels}
+
+
+def test_bad_matrix_and_graph_name_their_line(tmp_path, capsys):
+    matrix = tmp_path / "bad.matrix"
+    matrix.write_text("2 2\n1 1\n0 0\n")
+    assert main(["count", str(matrix)]) == 2
+    assert capsys.readouterr().err == "error: line 3: row 'R2' is empty\n"
+    graph = tmp_path / "bad.graph"
+    graph.write_text("# h\n2 1\n0 5\n")
+    assert main(["gen", str(graph)]) == 2
+    assert capsys.readouterr().err == "error: line 3: edge (0,5) out of range\n"
+    # a header of non-ASCII digits is not sniffed as a matrix header
+    odd = tmp_path / "odd.txt"
+    odd.write_text("1 ²\n1\n")
+    assert main(["count", str(odd)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 2: expected '<rowname>: <col> ...'\n"
 
 
 def test_compile_enumerate_all_and_none(demo_file, capsys):

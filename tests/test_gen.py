@@ -45,13 +45,43 @@ def test_parse_graph():
     ("2 1\n", 1),
     ("2 1\n0 1\n1 0\n", 3),
     ("2 1\n0 x\n", 2),
-    ("2 1\n0 5\n", 1),
-    ("2 1\n1 1\n", 1),
+    ("2 1\n0 5\n", 2),
+    ("2 1\n1 1\n", 2),
 ])
 def test_parse_graph_errors(text, line):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    # fields are ASCII digits: a sign or another digit is a syntax fault
+    ("2 1\n0 \u00b2\n", "line 2: expected '<u> <v>' edge line"),
+    ("2 1\n0 --1\n", "line 2: expected '<u> <v>' edge line"),
+    ("2 1\n0 -1\n", "line 2: expected '<u> <v>' edge line"),
+    ("5 1\n0 \u0663\n", "line 2: expected '<u> <v>' edge line"),
+    ("2 \u00b9\n", "line 1: expected '<n> <m>' header"),
+    # GraphInput's fault is reported at its edge's line
+    ("# h\n2 1\n0 5\n", "line 3: edge (0,5) out of range"),
+    ("3 3\n0 1\n\n2 2\n1 2\n", "line 4: self-loop at 2"),
+    # missing edges at the header's line, surplus ones at the last line
+    ("# c\n2 1\n", "line 2: expected 1 edges, found 0"),
+    ("# c\n3 3\n0 1\n1 2\n", "line 2: expected 3 edges, found 2"),
+    ("3 1\n0 1\n1 2\n0 2\n", "line 4: expected 1 edges, found 3"),
+    # an edge's fault on an earlier line beats a later syntax fault
+    ("2 2\n0 5\nx\n", "line 2: edge (0,5) out of range"),
+    ("3 2\n0 5\n", "line 2: edge (0,5) out of range"),
+])
+def test_parse_graph_names_the_faulty_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_graph_input_tags_the_faulty_edge():
+    with pytest.raises(ValueError) as err:
+        GraphInput(3, ((0, 1), (1, 2), (2, 2)))
+    assert err.value.edge == 2
 
 
 def test_triangle_single_cycle():

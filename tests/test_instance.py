@@ -90,17 +90,46 @@ MATRIX_ERRORS = {
     "1 2\n1 \u0661\n": "line 2: expected 2 0/1 entries",  # a digit, not 1
     "1 2\n1\n": "line 2: expected 2 0/1 entries",         # too few
     "1 2\n1 0 1\n": "line 2: expected 2 0/1 entries",     # too many
-    "1 2\n0 0\n": "line 2: row R1 is empty",
-    "1 2\n# c\n0 0\n": "line 3: row R1 is empty",
+    "1 2\n0 0\n": "line 2: row 'R1' is empty",
+    "1 2\n# c\n0 0\n": "line 3: row 'R1' is empty",
     "1 2\n1 0\nextra\n": "line 3: trailing content after matrix rows",
+    # header fields are ASCII digits: no other digit str.isdigit accepts
+    "1 \u00b2\n1\n": "line 1: expected '<nrows> <ncols>'",
+    "# c\n1 \u0663\n1 0 1\n": "line 2: expected '<nrows> <ncols>'",
+    "1 -2\n1 0\n": "line 1: expected '<nrows> <ncols>'",
+    "1 " + "9" * 5000 + "\n1\n": "line 1: expected '<nrows> <ncols>'",
+    # Instance's fault on an earlier line beats a later syntax fault
+    "2 2\n0 0\n1 2\n": "line 2: row 'R1' is empty",
+    "1 2\n0 0\nextra\n": "line 2: row 'R1' is empty",
+    "2 2\n# c\n0 0\n": "line 3: row 'R1' is empty",
+    "0 0\n1\n": "line 1: instance needs at least one column",
+    "2 0\n": "line 1: instance needs at least one column",
 }
 
 
-@pytest.mark.parametrize("text", list(MATRIX_ERRORS))
+@pytest.mark.parametrize("text", list(MATRIX_ERRORS),
+                         ids=lambda text: text if len(text) < 80 else "a long field")
 def test_parse_matrix_errors(text):
     with pytest.raises(ParseError) as err:
         parse_instance(text, "matrix")
     assert str(err.value) == MATRIX_ERRORS[text]
+
+
+def test_matrix_fault_before_a_row_builds_no_columns(monkeypatch):
+    # before the first row, the header is checked against one stand-in
+    # column, not against the n_cols names the header asks for
+    import xcover.instance as instance
+    widths = []
+
+    def recording(columns, rows):
+        widths.append(len(columns))
+        return Instance(columns, rows)
+
+    monkeypatch.setattr(instance, "Instance", recording)
+    for text in ("1 1000000\n1 0\n", "2 1000000\n", "0 1000000\nx\n"):
+        with pytest.raises(ParseError):
+            parse_instance(text, "matrix")
+    assert widths == [1, 1, 1]
 
 
 def test_parse_matrix_cells():
