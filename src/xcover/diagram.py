@@ -100,13 +100,13 @@ class NodeStore:
     def mk_decision(self, var: int, pos: NodeId, neg: NodeId) -> NodeId:
         if pos == BOTTOM:
             return neg
-        bit = 1 << var
         below = self._vars[pos] | self._vars[neg]
-        if below & bit:
+        mask = below | 1 << var
+        if mask == below:
             raise ValueError(f"decision variable {var} occurs in a branch")
         if pos == TOP and neg == BOTTOM:
             return self.mk_literal(var)
-        return self._intern((_D, var, pos, neg), below | bit)
+        return self._intern((_D, var, pos, neg), mask)
 
     def _join_children(self, children):
         """Canonical children of a decomposable node and the mask of
@@ -158,6 +158,10 @@ class NodeStore:
         a ZBDD.  Sizes are reckoned before any node is interned, so a
         rejected chain leaves nothing in the store, and the cost is
         linear in the number of nodes under the join.
+        Copies of decision nodes and literals skip ``mk_decision``'s
+        checks, which cannot fail: the children share no variable, no
+        copy's positive branch is terminal, and every copy of ``m``
+        reaches the tail, so its mask is ``vars[m] | vars[tail]``.
         """
         joined = self._join_children(children)
         if joined is None:
@@ -174,30 +178,31 @@ class NodeStore:
         all_copied = sum(len(p.closure) + p.kept for p in parts)
         tops = sum(p.kept_top for p in parts)
         bottoms = sum(p.kept_bottom for p in parts)
-
-        def chain_size(p):              # with p's child as the tail
-            return (all_copied - len(p.closure) - p.kept + p.own
-                    + (p.own_top or tops > p.kept_top)
-                    + (p.own_bottom or bottoms > p.kept_bottom))
-
-        best = min(range(len(parts)), key=lambda i: (
-            chain_size(parts[i]), -len(parts[i].closure), -i))
+        # the tail, kept[-best]: least chain size, then most copied, then last
+        best_size, _, best = min(
+            (all_copied - len(p.closure) - p.kept + p.own
+             + (p.own_top or tops > p.kept_top)
+             + (p.own_bottom or bottoms > p.kept_bottom), -len(p.closure), -i)
+            for i, p in enumerate(parts))
         join_size = (1 + sum(p.own for p in parts)
                      + any(p.own_top for p in parts)
                      + any(p.own_bottom for p in parts))
-        if chain_size(parts[best]) >= join_size:
+        if best_size >= join_size:
             return self.mk_decomposable(kept)
-        tail = kept.pop(best)           # the tail child is kept as it is
-        del parts[best]
-        entries = self._entries
-        for c, part in zip(reversed(kept), reversed(parts)):
+        tail = kept.pop(-best)          # the tail child is kept as it is
+        del parts[-best]
+        entries, var, intern = self._entries, self._vars, self._intern
+        while kept:                     # each part is freed once copied
+            c, part = kept.pop(), parts.pop()
             sub = {TOP: tail, BOTTOM: BOTTOM}
+            mask = var[tail]
             for m in sorted(part.closure):  # children have smaller ids
                 e = entries[m]
                 if e[0] == _D:
-                    sub[m] = self.mk_decision(e[1], sub[e[2]], sub[e[3]])
+                    sub[m] = intern((_D, e[1], sub[e[2]], sub[e[3]]),
+                                    var[m] | mask)
                 elif e[0] == _L:
-                    sub[m] = self.mk_decision(e[1], tail, BOTTOM)
+                    sub[m] = intern((_D, e[1], tail, BOTTOM), var[m] | mask)
                 else:
                     sub[m] = self.mk_decomposable(e[1] + (tail,))
             tail = sub[c]
@@ -229,7 +234,7 @@ class NodeStore:
                 literal = True          # v becomes D(v, tail, BOTTOM)
             else:
                 nested.extend(e[1])
-        kept = self._reachable_from(nested)
+        kept = self._reachable_from(nested) if nested else set()
         kept_top = TOP in kept
         kept_bottom = BOTTOM in kept
         kept.discard(TOP)

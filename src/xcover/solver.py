@@ -318,8 +318,11 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     one being searched.  A branch (``parts`` None) has the rows of its
     column as children and chains each satisfiable one into ``node`` as
     it returns.  A join replaces each of its components in ``parts`` by
-    its node and runs ``mk_join`` after the last.  A state that ends at
-    once (a literal, a root without cover) is a frame with no children.
+    its node and runs ``mk_join`` after the last.  A dxd or dyndxd
+    literal (one live row, covering every live column) is a cached miss
+    with no frame: its node goes straight to its parent.  Each state
+    calls ``_check_deadline``, not an inlined test, so that tests can
+    replace it to stop a worker or the parent at a chosen state.
     ``undo`` is dxz's ``ColumnCounts`` log, or the rows and edges that
     dyndxd's row choice removed from ``ctx.cs``; the components of a
     join are searched against the same set, and each leaves it as it
@@ -428,6 +431,9 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                 prev[via] = last[via]
                 last[via] = c
                 stats.dead += 1
+            elif node != BOTTOM:        # a literal: a miss with no frame
+                stats.cache_misses += 1
+                cache[cols] = node
             else:
                 stats.cache_misses += 1
                 stack.append([cols, rows, undo, todo, -1, node, parts])
@@ -454,7 +460,9 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                 f[3] = todo ^ low
                 i = f[4] = low.bit_length() - 1
                 if parts is None:
-                    cols, rows = f[0] & ~row_cols[i], f[1] & ~conflict[i]
+                    # ^ is cheaper than & ~; row i's columns are live
+                    cols, rows = f[0] ^ row_cols[i], f[1]
+                    rows ^= rows & conflict[i]
                     via, joined = i, False
                 else:
                     (cols, rows), via, joined = parts[i], None, True
@@ -483,6 +491,15 @@ def _worker_count(threads: int, qualifying: int, cpus) -> int:
     return min(threads - 1, max(1, (cpus or 1) - 1), qualifying - 1)
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, as ``taskset`` sets them."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _split_root(frame, threads: int, ctx: _Ctx):
     """Search the children of the root's ``frame`` over forked worker
     processes and return the root's node, built as the loop builds it;
@@ -502,7 +519,7 @@ def _split_root(frame, threads: int, ctx: _Ctx):
             todo &= todo - 1
             kids.append((i, cols & ~t.row_cols[i], rows & ~t.conflict[i], i))
     big = [k for k in kids if k[2].bit_count() >= ctx.cfg.spawn_threshold]
-    n = _worker_count(threads, len(big), os.cpu_count())
+    n = _worker_count(threads, len(big), _usable_cpus())
     if n < 1:
         return None
     shares = [big[w::n + 1] for w in range(1, n + 1)]

@@ -141,6 +141,70 @@ def dlx_search(inst: Instance, decompose: bool):
     return store, root, tuple(traffic)
 
 
+def chain_join(store: NodeStore, children) -> int:
+    """``NodeStore.mk_join`` by brute force: the reference for its chain.
+    ``children`` are non-terminal and share no variable; decomposable
+    ones are flattened into their children.  Each child in turn is tried
+    as the tail: the chain is built in a copy of the store, node by node
+    through the checked constructors (``_substitute``), and its
+    reachable nodes are counted.  The fewest wins; on a tie, the tail
+    whose copy as a chain link grew the store most, then the last.  It
+    is built in ``store`` if it has fewer nodes than the decomposable
+    node of the children, which is built otherwise."""
+    kept = sorted(c for ch in children for c in (
+        store.entry(ch)[1] if store.kind(ch) == "X" else (ch,)))
+
+    def twin():
+        copy = NodeStore()
+        copy.adopt([store.entry(n) for n in range(2, len(store))], 2)
+        return copy
+
+    def build(s, t, grown):
+        tail = kept[t]
+        for i in reversed(range(len(kept))):
+            if i != t:
+                n = len(s)
+                tail = _substitute(s, kept[i], tail)
+                grown[i] = len(s) - n
+        return tail
+
+    grown, sizes = {}, []
+    for t in range(len(kept)):
+        s = twin()
+        sizes.append(s.node_count(build(s, t, grown)))
+    s = twin()
+    join = s.node_count(s.mk_decomposable(kept))
+    t = min(range(len(kept)), key=lambda t: (sizes[t], -grown[t], -t))
+    if sizes[t] >= join:
+        return store.mk_decomposable(kept)
+    return build(store, t, {})
+
+
+def _substitute(store: NodeStore, c: int, tail: int) -> int:
+    """``c`` with ``tail`` in place of TOP, as one link of a join's chain:
+    the nodes reached from ``c`` through decision branches are rebuilt in
+    ascending id order, a decision node over its rebuilt branches, a
+    literal v as ``D(v, tail, BOTTOM)`` and a decomposable node with
+    ``tail`` as one more child."""
+    reached, todo = set(), [c]
+    while todo:
+        m = todo.pop()
+        if m > TOP and m not in reached:
+            reached.add(m)
+            if store.kind(m) == "D":
+                todo += store.entry(m)[2:]
+    sub = {TOP: tail, BOTTOM: BOTTOM}
+    for m in sorted(reached):
+        e = store.entry(m)
+        if e[0] == "D":
+            sub[m] = store.mk_decision(e[1], sub[e[2]], sub[e[3]])
+        elif e[0] == "L":
+            sub[m] = store.mk_decision(e[1], tail, BOTTOM)
+        else:
+            sub[m] = store.mk_decomposable(e[1] + (tail,))
+    return sub[c]
+
+
 # The 12 free pentominoes; placements on a height x width board are the
 # rows of a classic exact-cover instance (3 x 20 has 8 covers).
 PENTOMINOES = {

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import sys
 
@@ -9,7 +10,7 @@ from xcover.diagram import BOTTOM, TOP, NodeId, NodeStore, _bits, load_dump
 from xcover.gen import block_diagonal
 from xcover.solver import SolveConfig, solve
 
-from conftest import pentomino_instance
+from conftest import chain_join, pentomino_instance
 
 
 def family_node(store: NodeStore, sets, n_vars, top=TOP):
@@ -213,6 +214,58 @@ def test_join_chain_denotes_the_product(fams):
     else:
         assert s.node_count(j) < s.node_count(x)
     s.validate(j)
+    s.check_canonical()
+
+
+def random_diagram(store, rng, variables, shared):
+    """A random non-terminal diagram over some of ``variables`` (a list):
+    a literal, a decision node on the first variable over diagrams of
+    the others, or a decomposable node over diagrams of two parts.  Half
+    the time a diagram over the same variables is taken from ``shared``
+    instead of built anew."""
+    key = tuple(variables)
+    if key in shared and rng.random() < 0.5:
+        return shared[key]
+    if len(variables) == 1:
+        node = store.mk_literal(variables[0])
+    elif rng.random() < 0.25:
+        cut = rng.randrange(1, len(variables))
+        node = store.mk_decomposable([
+            random_diagram(store, rng, variables[:cut], shared),
+            random_diagram(store, rng, variables[cut:], shared)])
+    else:
+        rest = variables[1:]
+
+        def branch():
+            k = rng.randrange(len(rest) + 1)
+            part = rest[:k] if rng.random() < 0.5 else rest[k:]
+            return random_diagram(store, rng, part, shared) if part else TOP
+
+        pos = branch()
+        node = store.mk_decision(variables[0], pos,
+                                 BOTTOM if rng.random() < 0.3 else branch())
+    shared[key] = node
+    return node
+
+
+@given(st.integers(0, 10 ** 6))
+def test_join_chain_matches_the_checked_reference(seed):
+    # mk_join interns its chain's copies without mk_decision's checks:
+    # id for id, it must build what the checked constructors build, with
+    # the tail found by building every chain
+    built = []
+    for join in (NodeStore.mk_join, chain_join):
+        rng = random.Random(seed)
+        s = NodeStore()
+        order = rng.sample(range(24), rng.randint(2, 24))
+        cuts = sorted(rng.sample(range(1, len(order)),
+                                 rng.randint(1, min(5, len(order) - 1))))
+        kids = [random_diagram(s, rng, order[a:b], {})
+                for a, b in zip([0] + cuts, cuts + [len(order)])]
+        built.append((s, join(s, kids)))
+    (s, j), (ref, r) = built
+    assert s.dump(j) == ref.dump(r)
+    assert len(s) == len(ref)
     s.check_canonical()
 
 

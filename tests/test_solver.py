@@ -789,6 +789,23 @@ def test_worker_count_is_capped_by_cpus_and_children(monkeypatch):
     assert _worker_count(8, 1, 64) < 1              # one child: no split
 
 
+def test_root_split_counts_only_the_cpus_it_may_use(monkeypatch):
+    # pinned to one CPU of a 64-CPU host, as by taskset, a solve forks
+    # the one worker of a single CPU, not one per other host CPU
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert solver._usable_cpus() == 1
+    rep = _pentomino_threads("dxd", 3)
+    assert rep.stats.spawned == 1 and rep.count == 8
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
+    assert solver._usable_cpus() == 2       # preferred where it exists
+    monkeypatch.delattr(os, "process_cpu_count")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert solver._usable_cpus() == 64      # the last fallback
+
+
 def _pentomino_threads(engine, threads):
     return run(pentomino_instance(), engine, threads=threads)
 
