@@ -292,8 +292,10 @@ class NodeStore:
         """Ids of all nodes under ``n``, terminals included."""
         return self._reachable_from([n])
 
-    def _reachable_from(self, roots) -> set:
-        seen = set()
+    def _reachable_from(self, roots, stop: NodeId | None = None) -> set:
+        """Ids of the nodes under ``roots``, terminals included, and
+        ``stop``, if given, which is not read past."""
+        seen = set() if stop is None else {stop}
         stack = list(roots)
         while stack:
             m = stack.pop()
@@ -330,8 +332,10 @@ class NodeStore:
         lexicographic order is odometer order over the segments' own
         sorted families (``_product``).  Each segment buffers only its
         own part of a set, so a chain of k blocks holds O(k) parts, not
-        a full partial set per node and item.  A smaller root is read
-        whole.
+        a full partial set per node and item.  A segment before the last
+        starts at its least part, found by one descent, and builds its
+        stream only when the odometer first moves it.  A smaller root is
+        read whole.
         """
         mask = self._vars[n]
         if mask.bit_count() < _CUT_VARS:
@@ -356,12 +360,14 @@ class NodeStore:
         post-dominator towards TOP by walking the post-dominator chains
         of its two branches to where they meet; a literal's and a
         decomposable node's is TOP, since its children share no node.
-        A node with no such cut below it is one segment."""
+        A node with no such cut below it is one segment.  The pass reads
+        every id up to ``n``, which costs less than sorting the
+        reachable ones; no reachable node reads an unreachable one."""
         entries, var = self._entries, self._vars
         ipdom = [TOP] * (n + 1)
         empty = [False] * (n + 1)   # the family holds the empty set
         empty[TOP] = True
-        for m in sorted(self.reachable(n)):
+        for m in range(2, n + 1):
             e = entries[m]
             if e[0] == _D:
                 a, b = e[2], e[3]
@@ -590,9 +596,9 @@ def _bits(mask: int) -> frozenset:
 
 # Roots with at least this many variables are split into segments at
 # cut nodes (``NodeStore._segments``) before they are read; smaller ones
-# are read whole.  The cut pass walks the whole diagram: run on every
-# root, it took reading the 8 dxd covers of pentomino 3x20 (68
-# variables, no cut) from 112 to 157 us.
+# are read whole.  The cut pass reads every node id up to the root: run
+# on every root, it took reading the 8 dxd covers of pentomino 3x20 (68
+# variables, no cut) from 129 to 150 us (seed 7, in process).
 _CUT_VARS = 160
 
 
@@ -601,7 +607,7 @@ class _Stream:
 
     One stream exists per node and context per reader (``_Streams``
     builds them on first use): one reader per enumeration call, or one
-    per segment of a product (``_product``).  Readers of the same
+    per moved segment of a product (``_product``).  Readers of the same
     stream share its growing ``items`` buffer, so diamonds in the
     diagram are expanded once.  Items are sets of the family as sorted
     tuples of row ids.  A decision node merges the arms of its negative
@@ -748,47 +754,97 @@ def _product(store: NodeStore, segments: list, end: int):
     """Yield the sets of a family that is the product of ``segments``
     (``NodeStore._segments``), in lexicographic order.
 
-    Each segment is read by its own ``_Streams``, with its end standing
-    for TOP and read as one sentinel item ``(end,)``, where ``end``
-    exceeds every row id.  Every later segment adds rows above the
-    segment's, so a part that is a proper prefix of another must sort
-    after it, as it does with the sentinel.  Sets then come from an
-    odometer over the segments' sorted parts, the last segment varying
-    fastest: the parts of the earlier segments, sentinels stripped, are
-    joined once per step among them, and each item of the last segment
-    is appended to that head."""
-    last = len(segments) - 1
-    streams = []
-    for i, (heads, stop) in enumerate(segments):
-        reader = _Streams(store)
-        if i < last:
-            reader[stop] = _Stream(((end,),))
-            if stop != TOP:
-                reader.entries = _EndAt(reader.entries, stop)
-        s = None
-        for h in reversed(heads):
-            s = reader.stream(h, s)
-        streams.append(s)
-    if len(streams) == 1:
-        yield from _members(s)
+    A segment that another follows reads its end as one sentinel row
+    ``end``, which exceeds every row id.  Every later segment adds rows
+    above the segment's, so a part that is a proper prefix of another
+    must sort after it, as it does with the sentinel.  Sets then come
+    from an odometer over the segments' sorted parts, the last segment
+    varying fastest: the parts of the earlier segments, sentinels
+    stripped, are joined once per step among them, and each item of the
+    last segment is appended to that head.
+
+    The odometer moves the earlier segments seldom, so each starts at
+    its least part (``_least_part``), and its stream, read by a
+    ``_Streams`` of its own, is built only when the odometer first asks
+    it for a second part.  Drawing 10 covers of the 400-block ladder
+    builds 3 or 4 streams for its 799 or 800 segments."""
+    *firsts, (heads, _) = segments
+    least = [_least_part(store, h, stop, end)[:-1]
+             for h, stop in firsts]
+    tail = _segment_stream(store, heads, TOP, None)
+    if not least:
+        yield from _members(tail)
         return
-    for s in streams:
-        _fill(s, 0)             # no segment is empty
-    parts = [s.items[0][:-1] for s in streams[:-1]]
-    at = [0] * last
+    parts = list(least)
+    streams = [None] * len(least)
+    at = [0] * len(least)
     while True:
         head = tuple(chain.from_iterable(parts))
-        for t in _members(streams[-1]):
+        for t in _members(tail):
             yield head + t
-        i = last - 1
-        while not _fill(streams[i], at[i] + 1):
+        i = len(least) - 1
+        while True:
+            s = streams[i]
+            if s is None:
+                s = streams[i] = _segment_stream(store, *firsts[i], end)
+            if _fill(s, at[i] + 1):
+                break
             at[i] = 0
-            parts[i] = streams[i].items[0][:-1]
+            parts[i] = least[i]
             if i == 0:
                 return
             i -= 1
         k = at[i] = at[i] + 1
-        parts[i] = streams[i].items[k][:-1]
+        parts[i] = s.items[k][:-1]
+
+
+def _segment_stream(store: NodeStore, heads, stop: NodeId, end) -> _Stream:
+    """The sorted stream of one segment, read by a ``_Streams`` of its
+    own: with ``end`` given, ``stop`` stands for its TOP and reads as the
+    sentinel item ``(end,)``."""
+    reader = _Streams(store)
+    if end is not None:
+        reader[stop] = _Stream(((end,),))
+        if stop != TOP:
+            reader.entries = _EndAt(reader.entries, stop)
+    s = None
+    for h in reversed(heads):
+        s = reader.stream(h, s)
+    return s
+
+
+def _least_part(store: NodeStore, heads, stop: NodeId, end: int) -> tuple:
+    """The first item of ``_segment_stream(store, heads, stop, end)``,
+    found by one descent with no stream.
+
+    With the sentinel, every part ends in ``end``, so no part is a
+    prefix of another, and of two distinct parts X and Y, X sorts first
+    exactly when ``min(X ^ Y)`` (as sets) lies in X, for any family.
+    Inserting a variable that neither holds leaves ``X ^ Y`` alone, so
+    a decision node's least part is the lesser of its variable inserted
+    into its positive branch's and its negative branch's.  Over families
+    on disjoint variables the union of the least parts is the least
+    union, so a decomposable node's, and several heads', is their sorted
+    union, the sentinel once.  The nodes are read in ascending id order,
+    children first, as in ``NodeStore.count``, with no recursion."""
+    entries = store._entries
+    least = {TOP: (), stop: (end,)}     # TOP too, when it is the stop
+    for m in sorted(store._reachable_from(heads, stop) - {BOTTOM, TOP, stop}):
+        e = entries[m]
+        if e[0] == _X:
+            least[m] = tuple(sorted({v for c in e[1] for v in least[c]}))
+            continue
+        v = e[1]
+        t = least[e[2] if e[0] == _D else TOP]
+        if not t or v < t[0]:
+            t = (v,) + t
+        else:
+            i = bisect_left(t, v)
+            t = t[:i] + (v,) + t[i:]
+        if e[0] == _D and e[3] != BOTTOM and least[e[3]] < t:
+            t = least[e[3]]
+        least[m] = t
+    return tuple(sorted({v for h in heads for v in least[h]}))
 
 
 def _fill(s: _Stream, k: int) -> bool:

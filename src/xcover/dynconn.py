@@ -163,7 +163,7 @@ class ComponentSet:
         comps = sorted(self._comps, key=lambda c: min(c.vertices))
         return [set(c.vertices) for c in comps]
 
-    def dec_update(self, removed_vertices, removed_edges):
+    def dec_update(self, removed_vertices, removed_edges, check=None):
         """Delete a batch of edges, then a batch of (now isolated) vertices.
 
         ``removed_edges`` must include every live edge incident to a
@@ -172,6 +172,8 @@ class ComponentSet:
         edge is then cut, and the smaller side's membership is checked
         against the component's non-tree edges for a replacement to
         relink, splitting the component when none crosses.
+        ``check``, if given, is called before each cut; an exception it
+        raises ends the batch and leaves the set unusable.
         """
         cuts = []
         for e in {_edge(a, b) for a, b in removed_edges}:
@@ -186,6 +188,8 @@ class ComponentSet:
             else:
                 raise DynConnError(f"edge {e} not live")
         for a, b in sorted(cuts):
+            if check is not None:
+                check()
             comp = self._comp_of[a]
             side = self.forest.cut(a, b)
             repl = None
@@ -219,12 +223,13 @@ class ComponentSet:
             self._comps.discard(comp)
             del self._comp_of[v]
 
-    def inc_update(self, added_vertices, added_edges):
+    def inc_update(self, added_vertices, added_edges, check=None):
         """Insert a batch of fresh vertices, then a batch of edges.
 
         An edge across two components links their spanning trees and
         merges the smaller component into the larger; an edge within a
-        component joins its non-tree set.
+        component joins its non-tree set.  ``check``, if given, is
+        called before each link, as in ``dec_update``.
         """
         for v in sorted(added_vertices):
             if v in self._comp_of:
@@ -244,6 +249,8 @@ class ComponentSet:
                     raise DynConnError(f"edge {e} already present")
                 ca.non_tree.add(e)
             else:
+                if check is not None:
+                    check()
                 self.forest.link(a, b)
                 small, big = (ca, cb) if len(ca.vertices) <= len(cb.vertices) else (cb, ca)
                 big.vertices |= small.vertices

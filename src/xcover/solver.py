@@ -98,6 +98,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .diagram import BOTTOM, TOP, NodeStore, _bits
 from .dlx import DlxMatrix
@@ -322,9 +323,11 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     literal (one live row, covering every live column) is a cached miss
     with no frame: its node goes straight to its parent.  Each state
     calls ``_check_deadline``, not an inlined test, so that tests can
-    replace it to stop a worker or the parent at a chosen state.
-    ``undo`` is dxz's ``ColumnCounts`` log, or the rows and edges that
-    dyndxd's row choice removed from ``ctx.cs``; the components of a
+    replace it to stop a worker or the parent at a chosen state;
+    dyndxd's ``dec_update`` and ``inc_update`` call it too, before each
+    cut and link of their batch.  ``undo`` is dxz's ``ColumnCounts``
+    log, or the rows and edges that dyndxd's row choice removed from
+    ``ctx.cs``; the components of a
     join are searched against the same set, and each leaves it as it
     found it.  A join's component is connected by construction, so its
     state runs no flood fill and no ``find_cc`` walk.
@@ -347,6 +350,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
     reach = None if counts is None else counts.reach
     cs, adj, split = ctx.cs, ctx.adj, ctx.pool
+    check = partial(_check_deadline, ctx)   # also inside dynconn's batches
     stack = []
     uncounted = -1      # depth of dxz's first frame off its counts, or -1
     while True:
@@ -404,7 +408,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                     if via is not None:
                         gone = [r for r in _bits(conflict[via]) if r in cs]
                         undo = gone, _removed_edges(gone, adj, cs)
-                        cs.dec_update(*undo)
+                        cs.dec_update(*undo, check)
                     comps = []
                     left = rows
                     while left:
@@ -477,7 +481,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                 if counts is not None:
                     counts.leave(undo)
                 else:
-                    cs.inc_update(*undo)
+                    cs.inc_update(*undo, check)
             cache[cols] = node
         else:
             return node         # the stack is empty: node is the root's

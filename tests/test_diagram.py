@@ -6,7 +6,9 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xcover.diagram import BOTTOM, TOP, NodeId, NodeStore, _bits, load_dump
+from xcover import diagram
+from xcover.diagram import (BOTTOM, TOP, NodeId, NodeStore, _bits,
+                            _least_part, _members, _segment_stream, load_dump)
 from xcover.gen import block_diagonal
 from xcover.solver import SolveConfig, solve
 
@@ -405,6 +407,38 @@ def test_product_of_joined_blocks(fams, layout, pad_first, top):
     assert any(len(heads) > 1 for heads, _ in segments) == interleave
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.lists(families, min_size=1, max_size=3),
+                           st.just("separated")),
+                 st.tuples(blocks, st.sampled_from(["separated",
+                                                    "interleaved"]))),
+       st.booleans(), st.sampled_from(TOPS), st.integers(0, 10 ** 6))
+@example(([{frozenset({0})}], "separated"), False, 600, 40)  # neg is least
+def test_least_part_is_the_first_item_of_its_segment(fams_layout, pad_first,
+                                                     top, seed):
+    # the products of the two tests above, with interleaved heads and
+    # families that are no antichain, and a random diagram, with
+    # decomposable nodes inside segments: a segment that another follows
+    # starts at its least part, which its stream reads first
+    fams, layout = fams_layout
+    fams, ids = laid_out(fams, layout, pad_first, top)
+    s = NodeStore()
+    kids = [family_node(s, fam, b) for fam, b in zip(fams, ids)]
+    roots = [s.mk_decomposable(kids), s.mk_join(kids)]
+    if layout == "separated":
+        roots.append(chain_node(s, fams, ids))
+    rng = random.Random(seed)
+    variables = rng.sample(range(24), rng.randint(1, 24))
+    roots.append(random_diagram(s, rng, [top + 1 + v for v in variables], {}))
+    for root in roots:
+        if root in (BOTTOM, TOP):
+            continue
+        end = s._vars[root].bit_length()     # the sentinel, as read
+        for heads, stop in s._segments(root)[:-1]:
+            first = next(_members(_segment_stream(s, heads, stop, end)))
+            assert _least_part(s, heads, stop, end) == first
+
+
 class CutPass(Exception):
     pass
 
@@ -426,6 +460,26 @@ def test_small_roots_skip_the_cut_pass(monkeypatch, demo):
     assert covers == sorted(covers)
     with pytest.raises(CutPass):
         ladder.store.enumerate(ladder.root, limit=1)
+
+
+@pytest.mark.parametrize("engine", ["dxd", "dxz"])
+def test_ladder_builds_streams_for_the_segments_that_move(monkeypatch, demo,
+                                                          engine):
+    # 10 covers of 799 or 800 segments move only the last few: the others
+    # stay at their least parts and build no stream
+    rep = solve(block_diagonal(demo, 400), SolveConfig(engine=engine))
+    built = []
+    init = diagram._Streams.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(diagram._Streams, "__init__", counted)
+    covers = rep.store.enumerate(rep.root, limit=10)
+    assert len(covers) == 10 and covers == sorted(covers)
+    assert len(rep.store._segments(rep.root)) >= 799
+    assert len(built) <= 4
 
 
 def binary_prefix(pairs, rows, n: int) -> list:
@@ -465,6 +519,24 @@ def test_deep_product_needs_no_recursion():
     pairs = [(3 * i, 3 * i + 1) for i in range(depth)]
     rows = [3 * i + 2 for i in range(depth)]
     assert s.enumerate(tail, limit=20) == binary_prefix(pairs, rows, 20)
+
+
+def test_deep_segment_part_needs_no_recursion():
+    # a segment that another follows, whose singletons {i} form one
+    # negative chain longer than the recursion limit, all of them ending
+    # at the next segment {k}, {k + 1}: its least part is found at the
+    # default limit
+    k = 1500
+    assert sys.getrecursionlimit() < k
+    s = NodeStore()
+    nxt = family_node(s, [{k}, {k + 1}], [k, k + 1])
+    root = BOTTOM
+    for i in reversed(range(k)):
+        root = s.mk_decision(i, nxt, root)
+    assert s._segments(root) == [((root,), nxt), ((nxt,), TOP)]
+    assert _least_part(s, (root,), nxt, k + 2) == (0, k + 2)
+    want = [(i, j) for i in range(k) for j in (k, k + 1)]
+    check_members(s, root, want)
 
 
 def test_dump_round_trip():

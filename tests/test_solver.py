@@ -141,9 +141,9 @@ def test_dead_state_ends_before_its_components(monkeypatch):
         fills.append(sorted(_bits(rows)))
         return components(self, rows)
 
-    def batch(self, gone, edges):
+    def batch(self, gone, edges, check=None):
         batches.append(sorted(gone))
-        return dec_update(self, gone, edges)
+        return dec_update(self, gone, edges, check)
 
     monkeypatch.setattr(MaskTables, "components", fill)
     monkeypatch.setattr(ComponentSet, "dec_update", batch)
@@ -271,6 +271,26 @@ def test_dyndxd_timeout_inside_a_branch():
     verdict, seconds = out.stdout.split()
     assert verdict == "SolveTimeout"
     assert float(seconds) < 15
+
+
+@pytest.mark.parametrize("batch", ["dec_update", "inc_update"])
+def test_dyndxd_checks_the_deadline_inside_a_batch(monkeypatch, batch):
+    # a dynconn batch checks the deadline before each cut and link: a
+    # check that fails only inside the batch ends the solve from there.
+    # Choosing AB removes every other row, cutting their spanning tree
+    inst = Instance.build(["a", "b"], [("A1", [0]), ("A2", [0]),
+                                       ("B1", [1]), ("B2", [1]),
+                                       ("AB", [0, 1])])
+    assert run(inst, "dyndxd").count == 5
+
+    def inside_batch(ctx):
+        if any(f.function == batch for f in inspect.stack(0)):
+            raise SolveTimeout
+
+    monkeypatch.setattr(solver, "_check_deadline", inside_batch)
+    with pytest.raises(SolveTimeout) as exc:
+        run(inst, "dyndxd")
+    assert exc.traceback[-2].name == batch
 
 
 def test_dyn_components_check_sync_with_matrix(demo):
@@ -712,9 +732,10 @@ def test_solve_leaves_the_recursion_limit_alone(demo, monkeypatch):
 
 def test_deep_ladder_enumeration_memory(demo):
     # the ladder's 2400 variables send the root through the cut pass,
-    # and its 400 blocks make the family a product of segments: drawing
-    # 10 covers from dxd's diagram peaks at about 1.1 MiB, against 8 MiB
-    # when every node buffered a full partial cover per item
+    # and its 400 blocks make the family a product of segments, most of
+    # which stay at their least parts: drawing 10 covers from dxd's
+    # diagram peaks at about 0.23 MiB, against 8 MiB when every node
+    # buffered a full partial cover per item
     big = block_diagonal(demo, 400)
     dxd = run(big, "dxd")
     gc.collect()
@@ -731,7 +752,7 @@ def test_deep_ladder_enumeration_memory(demo):
 
 def test_ladder_enumeration_memory_is_per_segment(demo):
     # each of the ladder's segments buffers only its own rows: 100 covers
-    # peak at about 1.6 MiB, most of it the covers themselves, where
+    # peak at about 0.8 MiB, most of it the covers themselves, where
     # copying every partial cover at every level of the chain took
     # 68 MiB (and 1000 covers more than 1 GiB)
     big = block_diagonal(demo, 400)
