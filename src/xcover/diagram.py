@@ -292,10 +292,9 @@ class NodeStore:
         """Ids of all nodes under ``n``, terminals included."""
         return self._reachable_from([n])
 
-    def _reachable_from(self, roots, stop: NodeId | None = None) -> set:
-        """Ids of the nodes under ``roots``, terminals included, and
-        ``stop``, if given, which is not read past."""
-        seen = set() if stop is None else {stop}
+    def _reachable_from(self, roots) -> set:
+        """Ids of the nodes under ``roots``, terminals included."""
+        seen = set()
         stack = list(roots)
         while stack:
             m = stack.pop()
@@ -332,10 +331,11 @@ class NodeStore:
         lexicographic order is odometer order over the segments' own
         sorted families (``_product``).  Each segment buffers only its
         own part of a set, so a chain of k blocks holds O(k) parts, not
-        a full partial set per node and item.  A segment before the last
-        starts at its least part, found by one descent, and builds its
-        stream only when the odometer first moves it.  A smaller root is
-        read whole.
+        a full partial set per node and item.  The segments before the
+        last start at their least parts, which one call finds for all of
+        them (``_least_parts``), and each builds its stream only when the
+        odometer first moves it.  A smaller root is read whole, and so
+        is a root that is one segment, with no least part.
         """
         mask = self._vars[n]
         if mask.bit_count() < _CUT_VARS:
@@ -365,8 +365,7 @@ class NodeStore:
         reachable ones; no reachable node reads an unreachable one."""
         entries, var = self._entries, self._vars
         ipdom = [TOP] * (n + 1)
-        empty = [False] * (n + 1)   # the family holds the empty set
-        empty[TOP] = True
+        empty = [False, True] + [False] * (n - 1)   # holds the empty set
         for m in range(2, n + 1):
             e = entries[m]
             if e[0] == _D:
@@ -764,17 +763,18 @@ def _product(store: NodeStore, segments: list, end: int):
     last segment is appended to that head.
 
     The odometer moves the earlier segments seldom, so each starts at
-    its least part (``_least_part``), and its stream, read by a
-    ``_Streams`` of its own, is built only when the odometer first asks
-    it for a second part.  Drawing 10 covers of the 400-block ladder
-    builds 3 or 4 streams for its 799 or 800 segments."""
+    its least part, which one call finds for all of them
+    (``_least_parts``), and its stream, read by a ``_Streams`` of its
+    own, is built only when the odometer first asks it for a second
+    part.  Drawing 10 covers of the 400-block ladder builds 3 or 4
+    streams for its 799 or 800 segments.  A product of one segment reads
+    it from the start, with no least part."""
     *firsts, (heads, _) = segments
-    least = [_least_part(store, h, stop, end)[:-1]
-             for h, stop in firsts]
     tail = _segment_stream(store, heads, TOP, None)
-    if not least:
+    if not firsts:
         yield from _members(tail)
         return
+    least = _least_parts(store, firsts, end)
     parts = list(least)
     streams = [None] * len(least)
     at = [0] * len(least)
@@ -813,9 +813,10 @@ def _segment_stream(store: NodeStore, heads, stop: NodeId, end) -> _Stream:
     return s
 
 
-def _least_part(store: NodeStore, heads, stop: NodeId, end: int) -> tuple:
-    """The first item of ``_segment_stream(store, heads, stop, end)``,
-    found by one descent with no stream.
+def _least_parts(store: NodeStore, segments: list, end: int) -> list:
+    """The least part of each of ``segments``, all but a product's last
+    (``NodeStore._segments``): the first item of its stream
+    (``_segment_stream``), sentinel stripped, found with no stream.
 
     With the sentinel, every part ends in ``end``, so no part is a
     prefix of another, and of two distinct parts X and Y, X sorts first
@@ -825,26 +826,48 @@ def _least_part(store: NodeStore, heads, stop: NodeId, end: int) -> tuple:
     into its positive branch's and its negative branch's.  Over families
     on disjoint variables the union of the least parts is the least
     union, so a decomposable node's, and several heads', is their sorted
-    union, the sentinel once.  The nodes are read in ascending id order,
-    children first, as in ``NodeStore.count``, with no recursion."""
+    union, the sentinel once.
+
+    One loop over the segments, with no recursion: each walks its nodes
+    from its heads, not past its stop, and reads them in ascending id
+    order, children first, as in ``NodeStore.count``.  Its stop, and
+    TOP, read as the sentinel ``(end,)``; a segment whose stop is
+    another node never reads TOP.  Each node lies in one segment, so no
+    node is read twice.  A segment's dict is freed once its part is
+    taken: one dict for all segments would hold a part per node at once,
+    which on the 400-block ladder is most of the enumeration's peak."""
     entries = store._entries
-    least = {TOP: (), stop: (end,)}     # TOP too, when it is the stop
-    for m in sorted(store._reachable_from(heads, stop) - {BOTTOM, TOP, stop}):
-        e = entries[m]
-        if e[0] == _X:
-            least[m] = tuple(sorted({v for c in e[1] for v in least[c]}))
-            continue
-        v = e[1]
-        t = least[e[2] if e[0] == _D else TOP]
-        if not t or v < t[0]:
-            t = (v,) + t
-        else:
-            i = bisect_left(t, v)
-            t = t[:i] + (v,) + t[i:]
-        if e[0] == _D and e[3] != BOTTOM and least[e[3]] < t:
-            t = least[e[3]]
-        least[m] = t
-    return tuple(sorted({v for h in heads for v in least[h]}))
+    sentinel = (end,)
+    parts = []
+    nodes = []
+    for heads, stop in segments:
+        least = {BOTTOM: None, TOP: sentinel, stop: sentinel}
+        nodes[:] = heads
+        for m in nodes:                 # grows as it goes: the walk
+            e = entries[m]
+            for c in e[2:] if e[0] == _D else e[1] if e[0] == _X else ():
+                if c not in least:
+                    least[c] = None
+                    nodes.append(c)
+        nodes.sort()
+        for m in nodes:
+            e = entries[m]
+            if e[0] == _X:
+                least[m] = tuple(sorted({v for c in e[1] for v in least[c]}))
+                continue
+            v = e[1]
+            t = least[e[2]] if e[0] == _D else sentinel
+            if v < t[0]:
+                t = (v,) + t
+            else:
+                i = bisect_left(t, v)
+                t = t[:i] + (v,) + t[i:]
+            if e[0] == _D and e[3] != BOTTOM and least[e[3]] < t:
+                t = least[e[3]]
+            least[m] = t
+        parts.append(least[heads[0]][:-1] if len(heads) == 1 else
+                     tuple(sorted({v for h in heads for v in least[h]}))[:-1])
+    return parts
 
 
 def _fill(s: _Stream, k: int) -> bool:

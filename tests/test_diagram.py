@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from xcover import diagram
 from xcover.diagram import (BOTTOM, TOP, NodeId, NodeStore, _bits,
-                            _least_part, _members, _segment_stream, load_dump)
+                            _least_parts, _members, _product,
+                            _segment_stream, load_dump)
 from xcover.gen import block_diagonal
 from xcover.solver import SolveConfig, solve
 
@@ -414,12 +415,14 @@ def test_product_of_joined_blocks(fams, layout, pad_first, top):
                                                     "interleaved"]))),
        st.booleans(), st.sampled_from(TOPS), st.integers(0, 10 ** 6))
 @example(([{frozenset({0})}], "separated"), False, 600, 40)  # neg is least
+@example(([{frozenset({0})}], "separated"), False, 600, 101)  # inner X node
 def test_least_part_is_the_first_item_of_its_segment(fams_layout, pad_first,
                                                      top, seed):
     # the products of the two tests above, with interleaved heads and
     # families that are no antichain, and a random diagram, with
     # decomposable nodes inside segments: a segment that another follows
-    # starts at its least part, which its stream reads first
+    # starts at its least part, which its stream reads first; one call
+    # finds the least parts of all of them
     fams, layout = fams_layout
     fams, ids = laid_out(fams, layout, pad_first, top)
     s = NodeStore()
@@ -434,9 +437,12 @@ def test_least_part_is_the_first_item_of_its_segment(fams_layout, pad_first,
         if root in (BOTTOM, TOP):
             continue
         end = s._vars[root].bit_length()     # the sentinel, as read
-        for heads, stop in s._segments(root)[:-1]:
+        firsts = s._segments(root)[:-1]
+        parts = _least_parts(s, firsts, end)
+        assert len(parts) == len(firsts)
+        for (heads, stop), part in zip(firsts, parts):
             first = next(_members(_segment_stream(s, heads, stop, end)))
-            assert _least_part(s, heads, stop, end) == first
+            assert part + (end,) == first
 
 
 class CutPass(Exception):
@@ -480,6 +486,61 @@ def test_ladder_builds_streams_for_the_segments_that_move(monkeypatch, demo,
     assert len(covers) == 10 and covers == sorted(covers)
     assert len(rep.store._segments(rep.root)) >= 799
     assert len(built) <= 4
+
+
+@pytest.mark.parametrize("engine", ["dxd", "dxz"])
+def test_ladder_draw_cuts_once_and_walks_at_most_once(monkeypatch, demo,
+                                                      engine):
+    # the least parts of the ladder's 799 or 800 segments come from one
+    # call: one cut pass and at most one reachability walk, where a
+    # walk per segment took most of the draw
+    rep = solve(block_diagonal(demo, 400), SolveConfig(engine=engine))
+    calls = {"_segments": 0, "_reachable_from": 0}
+
+    def counted(name):
+        method = getattr(NodeStore, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(NodeStore, name, wrapper)
+
+    counted("_segments")
+    counted("_reachable_from")
+    covers = rep.store.enumerate(rep.root, limit=10)
+    assert len(covers) == 10 and covers == sorted(covers)
+    assert calls["_segments"] == 1
+    assert calls["_reachable_from"] <= 1
+
+
+class LeastParts(Exception):
+    pass
+
+
+def test_one_segment_root_reads_no_least_part(monkeypatch):
+    # 170 singletons {v}: the root has enough variables for the cut pass,
+    # but no node below it is a cut, so it is one segment, read from the
+    # start with no least part
+    s = NodeStore()
+    root = family_node(s, [{v} for v in range(170)], 170)
+    assert len(s.variables(root)) >= 160
+    assert s._segments(root) == [((root,), TOP)]
+
+    def least_parts(*args):
+        raise LeastParts
+
+    monkeypatch.setattr(diagram, "_least_parts", least_parts)
+    check_members(s, root, [(v,) for v in range(170)])
+
+
+def test_terminals_are_one_segment():
+    # the cut pass on a terminal gives one segment, which the product
+    # reads as its family: nothing for BOTTOM, the empty set for TOP
+    s = NodeStore()
+    for n, want in ((BOTTOM, []), (TOP, [()])):
+        segments = s._segments(n)
+        assert segments == [((n,), TOP)]
+        assert list(_product(s, segments, s._vars[n].bit_length())) == want
 
 
 def binary_prefix(pairs, rows, n: int) -> list:
@@ -533,8 +594,9 @@ def test_deep_segment_part_needs_no_recursion():
     root = BOTTOM
     for i in reversed(range(k)):
         root = s.mk_decision(i, nxt, root)
-    assert s._segments(root) == [((root,), nxt), ((nxt,), TOP)]
-    assert _least_part(s, (root,), nxt, k + 2) == (0, k + 2)
+    segments = s._segments(root)
+    assert segments == [((root,), nxt), ((nxt,), TOP)]
+    assert _least_parts(s, segments[:-1], k + 2) == [(0,)]
     want = [(i, j) for i in range(k) for j in (k, k + 1)]
     check_members(s, root, want)
 
