@@ -166,7 +166,7 @@ class NodeStore:
         joined = self._join_children(children)
         if joined is None:
             return BOTTOM
-        kept = joined[0]
+        kept, vs = joined
         if len(kept) < 2:
             return kept[0] if kept else TOP
         # Every copied node is new and distinct from all others: its
@@ -188,7 +188,7 @@ class NodeStore:
                      + any(p.own_top for p in parts)
                      + any(p.own_bottom for p in parts))
         if best_size >= join_size:
-            return self.mk_decomposable(kept)
+            return self._intern((_X, tuple(kept)), vs)
         tail = kept.pop(-best)          # the tail child is kept as it is
         del parts[-best]
         entries, var, intern = self._entries, self._vars, self._intern
@@ -334,13 +334,13 @@ class NodeStore:
         a full partial set per node and item.  The segments before the
         last start at their least parts, which one call finds for all of
         them (``_least_parts``), and each builds its stream only when the
-        odometer first moves it.  A smaller root is read whole, and so
-        is a root that is one segment, with no least part.
+        odometer first moves it.  A smaller root is one segment, with no
+        cut pass; a product of one segment has no least part.
         """
         mask = self._vars[n]
-        if mask.bit_count() < _CUT_VARS:
-            return _members(_Streams(self).stream(n))
-        return _product(self, self._segments(n), mask.bit_length())
+        segments = (self._segments(n) if mask.bit_count() >= _CUT_VARS
+                    else [((n,), TOP)])
+        return _product(self, segments, mask.bit_length())
 
     def _segments(self, n: NodeId) -> list:
         """Split the family of ``n`` into a product of segments whose
@@ -482,23 +482,13 @@ class NodeStore:
             seen.add(m)
             stack.append((m, True))
             e = self._entries[m]
-            if e[0] == _D:
-                stack.append((e[3], False))
-                stack.append((e[2], False))
-            elif e[0] == _X:
-                for ch in reversed(e[1]):
-                    stack.append((ch, False))
+            kids = e[2:] if e[0] == _D else e[1] if e[0] == _X else ()
+            stack.extend((ch, False) for ch in reversed(kids))
         lines = []
         for m in order:
             e = self._entries[m]
-            if e[0] in (_B, _T):
-                lines.append(f"{m} {e[0]}")
-            elif e[0] == _L:
-                lines.append(f"{m} L {e[1]}")
-            elif e[0] == _D:
-                lines.append(f"{m} D {e[1]} {e[2]} {e[3]}")
-            else:
-                lines.append(f"{m} X " + " ".join(map(str, e[1])))
+            fields = e[1] if e[0] == _X else e[1:]
+            lines.append(" ".join(map(str, (m, e[0], *fields))))
         return "\n".join(lines) + "\n"
 
     def export_dot(self, n: NodeId, var_names=None) -> str:
@@ -510,23 +500,18 @@ class NodeStore:
         def name(v):
             text = str(var_names[v]) if var_names is not None else str(v)
             return text.replace("\\", "\\\\").replace('"', '\\"')
+        # a literal or decision is an oval labelled with its variable
+        shapes = {_B: 'box, label="0"', _T: 'box, label="1"',
+                  _X: 'triangle, label="&#x2294;"'}
         lines = ["digraph diagram {"]
         for m in sorted(self.reachable(n)):
             e = self._entries[m]
-            if e[0] == _B:
-                lines.append(f'  n{m} [shape=box, label="0"];')
-            elif e[0] == _T:
-                lines.append(f'  n{m} [shape=box, label="1"];')
-            elif e[0] == _L:
-                lines.append(f'  n{m} [shape=oval, label="{name(e[1])}"];')
-            elif e[0] == _D:
-                lines.append(f'  n{m} [shape=oval, label="{name(e[1])}"];')
-                lines.append(f"  n{m} -> n{e[2]};")
-                lines.append(f"  n{m} -> n{e[3]} [style=dashed];")
-            else:
-                lines.append(f'  n{m} [shape=triangle, label="&#x2294;"];')
-                for ch in e[1]:
-                    lines.append(f"  n{m} -> n{ch};")
+            shape = shapes.get(e[0]) or f'oval, label="{name(e[1])}"'
+            lines.append(f"  n{m} [shape={shape}];")
+            kids = e[2:] if e[0] == _D else e[1] if e[0] == _X else ()
+            for i, ch in enumerate(kids):
+                dashed = " [style=dashed]" if e[0] == _D and i else ""
+                lines.append(f"  n{m} -> n{ch}{dashed};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -594,8 +579,8 @@ def _bits(mask: int) -> frozenset:
 
 
 # Roots with at least this many variables are split into segments at
-# cut nodes (``NodeStore._segments``) before they are read; smaller ones
-# are read whole.  The cut pass reads every node id up to the root: run
+# cut nodes (``NodeStore._segments``) before they are read; a smaller one
+# is one segment.  The cut pass reads every node id up to the root: run
 # on every root, it took reading the 8 dxd covers of pentomino 3x20 (68
 # variables, no cut) from 129 to 150 us (seed 7, in process).
 _CUT_VARS = 160
@@ -605,15 +590,15 @@ class _Stream:
     """Lazy, memoized, lexicographically sorted view of a node's family.
 
     One stream exists per node and context per reader (``_Streams``
-    builds them on first use): one reader per enumeration call, or one
-    per moved segment of a product (``_product``).  Readers of the same
-    stream share its growing ``items`` buffer, so diamonds in the
-    diagram are expanded once.  Items are sets of the family as sorted
-    tuples of row ids.  A decision node merges the arms of its negative
-    chain (``_Decision``).  A decomposable node is read as the chain of
-    its children that ``NodeStore.mk_join`` would build, without
-    building it: each child is read with the chain of the children
-    after it standing for its TOP, which is the context.  Order is
+    builds them on first use): one reader for the last segment of a
+    product (``_product``), and one per moved segment before it.
+    Readers of the same stream share its growing ``items`` buffer, so
+    diamonds in the diagram are expanded once.  Items are sets of the
+    family as sorted tuples of row ids.  A decision node merges the arms
+    of its negative chain (``_Decision``).  A decomposable node is read
+    as the chain of its children that ``NodeStore.mk_join`` would build,
+    without building it: each child is read with the chain of the
+    children after it standing for its TOP, which is the context.  Order is
     preserved under inserting a decision variable because distinct sets
     of a family are never related by prefix order here: the families
     denoted by diagram nodes built from exact covers are antichains
@@ -687,7 +672,7 @@ class _Streams(dict):
             if f[0] == _L:
                 vs += (f[1],)
                 src = TOP
-            adds.append(tuple(sorted(vs)) if len(vs) > 1 else vs)
+            adds.append(tuple(sorted(vs)))
             srcs.append(src)
             last = e[3]
             e = entries[last]
@@ -905,11 +890,9 @@ class _Decision(_Stream):
     those only insert their variables, and so skips the buffers their
     own streams would fill.
 
-    An arm's variables are kept sorted.  When they all come before an
-    item's first row they are prepended to it with no sort.  Otherwise
-    one variable is spliced in at its place, and several are sorted in.
-    On the ladder workload 8,776 of the 8,780 inserts drawing 10 covers
-    are prepends.
+    An arm's variables are sorted into each item it yields, one
+    ``sorted`` call per item over the arm's sorted variables and the
+    item: a single run when they all come first, else a merge of two.
     """
 
     __slots__ = ("streams", "tail", "vars", "arms", "next", "heap", "pending")
@@ -943,13 +926,7 @@ class _Decision(_Stream):
                 t = s.items[k]
                 vs = self.vars[a]
                 if vs is not None:      # merge the arm's variables into t
-                    if not t or t[0] > vs[-1]:
-                        t = vs + t      # t's first id follows vs's last
-                    elif len(vs) > 1:
-                        t = tuple(sorted(t + vs))
-                    else:
-                        i = bisect_left(t, vs[0])
-                        t = t[:i] + vs + t[i:]
+                    t = tuple(sorted(vs + t))
                 pending.pop()
                 if not pending:     # push the last one and pop the least
                     t, a = heapq.heappushpop(heap, (t, a))

@@ -28,35 +28,18 @@ columns are always live, and ``cols`` doubles as the cache key, exactly
 as ``DlxMatrix.live_col_mask`` does for the dancing-links reference.
 Row and column ids are the instance's global ids.
 
-dxd and dyndxd search inside components, whose states are narrow, and
-choose their column with ``MaskTables.select_column``, a popcount per live
-column, which also finds a column left with no live row.  It visits the
+``MaskTables.select_column`` chooses a column by popcount, one per live
+column, and also finds a column left with no live row.  It visits the
 live columns in ascending order and stops at the first empty one: it
 shifts ``cols`` down to the byte that holds its lowest column, reads the
 rest once as bytes, and takes each nonzero byte's column ids from the
 256-entry table ``_BYTE_BITS``, so a narrow component high in a wide
 instance costs a byte or two, and finding a column's id costs no bit
-arithmetic.  dxz keeps the column sizes of its current state in a
-``ColumnCounts`` instead: mutable, owned by one search, and recounted
-along each edge only where the chosen row can have changed them.  That
-saves work only while a row choice leaves most live columns alone, as
-on a block-diagonal ladder.  Where the chosen row can reach every live
-column, the recount and its undo cost more than the popcounts, so dxz
-branches there as dxd does.
-
-Every engine ends a dead end the same way, in its parent, with no
-frame and no cache entry: a state reached by row r is BOTTOM when a
-memo slot of r names a live column with no live row, tested before the
-cache, or else when the column that it chooses, on counts or by
-popcount, has no live row, which then takes r's first slot.  On
-pentomino 3x20, dxz enters the 18 children of the root on the counts,
-2 of them dead; below those, every chosen row reaches every live
-column, so ``select_column`` picks the column of the other states that
-the memo does not end: 7,265 calls for 5,298 searched states and 12,386
-dead ends.  dxd ends a dead end before it looks for components, so it
-costs no flood fill: of its 5,304 searched states, 5,292 run
-``components``, and its 12,394 dead ends none.  A join's components are
-connected by construction and run none either.
+arithmetic.  A ``ColumnCounts`` keeps the column sizes of one search's
+current state instead: mutable, and recounted along each edge only where
+the chosen row can have changed them.  Which engine chooses its column
+which way, and the rules for dead ends and literals, are stated once, in
+the module docstring of ``xcover.solver``.
 
 ``ColumnCounts.span`` is built row by row, one OR per cell, from the
 ``(row, columns)`` pairs that ``MaskTables`` keeps as ``cells``.

@@ -1,5 +1,8 @@
 """Exact-cover compilation engines.
 
+This docstring is the engines' contract: the rules that every engine
+keeps are stated here once, and so is what each engine adds.
+
 Three engines run one memoized depth-first search on row/column bitmasks
 (``masks.MaskTables``), keyed on the live-column bitset and emitting
 hash-consed diagram nodes.  A subproblem is a pair of ints, and a child
@@ -12,43 +15,59 @@ chain of decision nodes built so far, or a join of components, holding
 their nodes so far.  It also holds what entering the state changed
 beside the masks, to be undone once the state's node is built.
 
-A dead end, a state reached by a row in which some live column has no
-live row, is not searched: it gets no frame and no cache entry, is not
-counted as a miss (``SolveStats.dead`` counts it), and its parent
-receives BOTTOM, as dancing links backtracks on an empty column.  Every
-engine first tests the two columns that last starved a child of the
-same row (``MaskTables.starver``), before the cache lookup, which could
-only miss; then the column choice finds the rest.  So the cache holds
-live states only, and hits, misses and dead ends are what they are
-whatever the memo holds.  The engines:
+Every engine keeps the rules of dancing links, so dxd and dyndxd build
+the same diagram with the same cache traffic, and each engine builds
+the diagram that the search on a ``DlxMatrix`` would.  ``DlxMatrix``,
+``bfs_components`` and ``decompose_matrix`` are that dancing-links
+reference; no engine calls them.  The rules:
 
-* ``dxz``      branches on a minimum-size column and builds a chain of
-               decision nodes per interacting row; output is a ZBDD.
-               The column sizes live in a ``masks.ColumnCounts``,
-               recounted along each edge, in place of dxd's popcounts.
-               A dead end that the memo misses and that is entered on
-               the counts has its column in bucket 0, and leaves the
-               counts at once.
-               The counts only pay while a row choice leaves some live
-               column out of its reach: the first state whose row can
-               change every live count, and its whole subtree, branch
-               as dxd does, on the memo and popcounts, and enter
-               nothing; the counts, untouched there, serve again once
-               that state's node is built.
-* ``dxd``      additionally short-circuits a single row that covers
-               everything to a literal, and when the live rows fall
-               into >= 2 connected components of the primal graph
-               (rows adjacent iff they share a column, found by a flood
-               fill over per-row conflict masks), solves the components
-               separately and joins them; output is zero-suppressed
-               decision-DNNF.
-               A state reached by a row is tested for an empty column
-               first, as in dxz: the memo, then a ``select_column``
-               scan, which chooses the column.  A dead end ends before
-               any flood fill, whatever its components; a live state
-               that does not split branches on the column already
-               chosen.  A root or a join's component, reached by no
-               row, runs the flood fill first.
+* **Column choice.**  A state branches on a column with the fewest live
+  rows, ties to the smallest column id, and on its rows in ascending id
+  order; each satisfiable row is chained into a decision node.
+* **Dead ends.**  A state reached by a row in which some live column
+  has no live row is not searched: it gets no frame and no cache entry,
+  is not counted as a miss (``SolveStats.dead`` counts it), and its
+  parent receives BOTTOM, as dancing links backtracks on an empty
+  column.  The two columns that last starved a child of the same row
+  (``MaskTables.starver``) are tested first, before the cache lookup,
+  which could only miss; then the column choice finds the rest.  A dead
+  end runs no component search.
+* **Literals.**  A state with one live row that covers every live
+  column is that row's literal: a cached miss with no frame and no
+  column choice, whose node goes straight to its parent.
+* **Cache.**  The cache holds live states only, so hits, misses and
+  dead ends are what they are whatever the memo holds.  Its key, the
+  live-column set, is sound because a row is live exactly when every
+  column it interacts is live, so the live columns determine the
+  subproblem.  Column ids are global even inside components, which lets
+  all components share one cache and one node store.
+
+What each engine adds:
+
+* ``dxz``      output is a ZBDD.  The column sizes live in a
+               ``masks.ColumnCounts``, recounted along each edge, in
+               place of dxd's popcounts.  A dead end that the memo
+               misses and that is entered on the counts has its column
+               in bucket 0, and leaves the counts at once.  The counts
+               only pay while a row choice leaves some live column out
+               of its reach: the first state whose row can change every
+               live count, and its whole subtree, choose the column by
+               popcount (``MaskTables.select_column``), as dxd does, and
+               enter nothing; the counts, untouched there, serve again
+               once that state's node is built.
+* ``dxd``      output is zero-suppressed decision-DNNF.  The column
+               comes from ``select_column``, whose scan also finds a dead
+               end's empty column.  When the live rows fall into >= 2
+               connected components of the primal graph (rows adjacent
+               iff they share a column, found by a flood fill over
+               per-row conflict masks), it solves the components
+               separately, in order of their smallest row, and joins
+               them.  A state reached by a row is tested for an empty
+               column before any flood fill; a live state that does not
+               split branches on the column already chosen.  A root or
+               a join's component, reached by no row, runs the flood
+               fill first; a join's component is connected by
+               construction and runs none.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -66,23 +85,11 @@ whatever the memo holds.  The engines:
                are searched against it: a join reads its components
                with ``find_cc``.
 
-All three apply the rules of dancing links (column choice, row order,
-literal, components in order of their smallest row), so dxd and dyndxd
-build the same diagram with the same cache traffic, and each builds the
-diagram that the search on a ``DlxMatrix`` would.  ``DlxMatrix``,
-``bfs_components`` and ``decompose_matrix`` are that dancing-links
-reference; no engine calls them.
-
-The cache key is sound because a row is live exactly when every column
-it interacts is live, so the live-column set determines the subproblem;
-column ids are global even inside components, which lets all components
-share one cache and one node store.
-
 ``solve`` is the one entry point; ``oracle`` is accepted as a fourth
 engine name and dispatches to the brute-force enumerator for
 ground-truth runs.  With ``threads > 1`` the root state alone may split
 (cube and conquer): its children, the rows of its branch or the
-components of its join, that hold at least ``spawn_threshold`` live rows
+components of its join, that hold at least ``_SPAWN_ROWS`` live rows
 are dealt round-robin to the solve's process and to forked worker
 processes.  A worker runs the same loop on its children from its copy of
 the root state, with a cache and counters of its own, and sends back
@@ -113,11 +120,17 @@ class SolveTimeout(Exception):
     """Cooperative deadline exceeded."""
 
 
+# A root child gets a worker process only with at least this many live
+# rows: on a shared 2-vCPU x86-64 host a fork and reap costs 2.4-4.5 ms,
+# and every root child of fewer rows that was measured searched in under
+# 1 ms.
+_SPAWN_ROWS = 512
+
+
 @dataclass
 class SolveConfig:
     engine: str = "dxz"
     threads: int = 1
-    spawn_threshold: int = 512  # min live rows of a root child for a worker
     timeout_s: float | None = None
 
 
@@ -157,15 +170,16 @@ class _Ctx:
       mask.  It holds no dead end: only the root may be cached BOTTOM
       for a column without rows.
     * ``stats``: the ``SolveStats`` the search counts into.
-    * ``pool``: the thread count while the root may still split over
-      worker processes (``_split_root``).  None once the root's frame is
-      pushed, when ``threads`` is 1 or ``os.fork`` is missing, and in
+    * ``pool``: true while the root may still split over worker
+      processes (``_split_root``).  False once the root's frame is
+      pushed, when ``threads`` is 1 or ``os.fork`` is missing; None in
       the contexts that criterion 9 builds by hand.
       The slot keeps its place, fifth, because criterion 9 passes it
       positionally.
     * ``deadline``: the ``time.monotonic()`` past which the search raises
       ``SolveTimeout``, or None.
-    * ``cfg``: the ``SolveConfig`` of the solve.
+    * ``cfg``: the ``SolveConfig`` of the solve, whose ``threads``
+      ``_split_root`` reads.
     * ``cs``, ``adj``: dyndxd only, the solve's one ComponentSet and the
       row adjacency it was built from; None for dxz and dxd.  ``cs``
       holds the rows of the state being searched, and those of the
@@ -313,24 +327,24 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                  joined=False) -> int:
     """Compile the subproblem ``(cols, rows)`` of ``ctx.masks``, reached
     by choosing row ``via`` (None at a root, or with ``joined`` set, at a
-    component of a join).  A frame
-    of the stack is a list ``[cols, rows, undo, todo, i, node, parts]``:
+    component of a join).  A frame of the stack is a list
+    ``[cols, rows, undo, todo, i, node, parts]``:
     ``todo`` is a bitmask of the children not searched yet and ``i`` the
     one being searched.  A branch (``parts`` None) has the rows of its
     column as children and chains each satisfiable one into ``node`` as
     it returns.  A join replaces each of its components in ``parts`` by
-    its node and runs ``mk_join`` after the last.  A dxd or dyndxd
-    literal (one live row, covering every live column) is a cached miss
-    with no frame: its node goes straight to its parent.  Each state
-    calls ``_check_deadline``, not an inlined test, so that tests can
-    replace it to stop a worker or the parent at a chosen state;
-    dyndxd's ``dec_update`` and ``inc_update`` call it too, before each
-    cut and link of their batch.  ``undo`` is dxz's ``ColumnCounts``
-    log, or the rows and edges that dyndxd's row choice removed from
-    ``ctx.cs``; the components of a
-    join are searched against the same set, and each leaves it as it
-    found it.  A join's component is connected by construction, so its
-    state runs no flood fill and no ``find_cc`` walk.
+    its node and runs ``mk_join`` after the last.  A literal (one live
+    row, covering every live column) is tested first, for every engine:
+    a cached miss with no frame, its node goes straight to its parent.
+    Each state calls ``_check_deadline``, not an inlined test, so that
+    tests can replace it to stop a worker or the parent at a chosen
+    state; dyndxd's ``dec_update`` and ``inc_update`` call it too,
+    before each cut and link of their batch.  ``undo`` is dxz's
+    ``ColumnCounts`` log, or the rows and edges that dyndxd's row choice
+    removed from ``ctx.cs``; the components of a join are searched
+    against the same set, and each leaves it as it found it.  A join's
+    component is connected by construction, so its state runs no flood
+    fill and no ``find_cc`` walk.
     A state reached by row ``via`` is a dead end when a live column has
     no live row.  It is found by the memo's two columns for ``via``,
     tested before the cache, or else by the chosen column, which then
@@ -374,7 +388,9 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
             undo = parts = None
             todo = 0
             dead = False
-            if counts is not None and uncounted < 0 and (
+            if (r := t.single_full_row(cols, rows)) is not None:
+                node = store.mk_literal(r)
+            elif counts is not None and uncounted < 0 and (
                     via is None or (near := reach(via)) & cols != cols):
                 if via is not None:
                     undo = counts.enter(near, cols, rows)
@@ -383,9 +399,6 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                 if not todo and via is not None:
                     counts.leave(undo)      # a dead child is left at once
                     dead = True
-            elif counts is None and (
-                    r := t.single_full_row(cols, rows)) is not None:
-                node = store.mk_literal(r)
             else:
                 comps = ()
                 if via is not None:
@@ -441,12 +454,11 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
             else:
                 stats.cache_misses += 1
                 stack.append([cols, rows, undo, todo, -1, node, parts])
-                if split is not None:
-                    ctx.pool = None     # only the root's frame may split
-                    node = _split_root(stack[0], split, ctx)
+                if split:
+                    ctx.pool = split = False    # only the root's may split
+                    node = _split_root(stack[0], ctx)
                     if node is not None:
                         return node
-                    split = None
                 node = None
         # give node to its parent frame, and pop each frame that is done,
         # until one has a child left to search
@@ -489,7 +501,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
 
 def _worker_count(threads: int, qualifying: int, cpus) -> int:
     """Worker processes for a root split with ``qualifying`` children of
-    ``spawn_threshold`` live rows: fewer than ``threads`` and than the
+    ``_SPAWN_ROWS`` live rows: fewer than ``threads`` and than the
     ``cpus`` (but one on a single CPU), and fewer than the children, so
     that the parent keeps one.  Less than 1 means no split."""
     return min(threads - 1, max(1, (cpus or 1) - 1), qualifying - 1)
@@ -504,11 +516,11 @@ def _usable_cpus():
     return os.cpu_count()
 
 
-def _split_root(frame, threads: int, ctx: _Ctx):
+def _split_root(frame, ctx: _Ctx):
     """Search the children of the root's ``frame`` over forked worker
     processes and return the root's node, built as the loop builds it;
     or return None, leaving the frame to the loop, when fewer than two
-    children hold ``spawn_threshold`` live rows.  Those children are
+    children hold ``_SPAWN_ROWS`` live rows.  Those children are
     dealt round-robin to this process and the workers; this process
     also keeps the others.  Every worker is reaped before this returns,
     and killed first if it leaves by an exception."""
@@ -522,8 +534,8 @@ def _split_root(frame, threads: int, ctx: _Ctx):
             i = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             kids.append((i, cols & ~t.row_cols[i], rows & ~t.conflict[i], i))
-    big = [k for k in kids if k[2].bit_count() >= ctx.cfg.spawn_threshold]
-    n = _worker_count(threads, len(big), _usable_cpus())
+    big = [k for k in kids if k[2].bit_count() >= _SPAWN_ROWS]
+    n = _worker_count(ctx.cfg.threads, len(big), _usable_cpus())
     if n < 1:
         return None
     shares = [big[w::n + 1] for w in range(1, n + 1)]
@@ -651,8 +663,6 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         raise ValueError(f"unknown engine {cfg.engine!r}")
     if not isinstance(cfg.threads, int) or cfg.threads < 1:
         raise ValueError("threads must be an integer >= 1")
-    if not isinstance(cfg.spawn_threshold, int) or cfg.spawn_threshold < 0:
-        raise ValueError("spawn_threshold must be an integer >= 0")
     if cfg.timeout_s is not None and not cfg.timeout_s >= 0:   # NaN too
         raise ValueError("timeout_s must be a number >= 0")
     t0 = time.perf_counter()
@@ -666,8 +676,7 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
                              stats=stats, time_ms=0.0)
     else:
         store = NodeStore()
-        split = (cfg.threads if cfg.threads > 1 and hasattr(os, "fork")
-                 else None)
+        split = cfg.threads > 1 and hasattr(os, "fork")
         ctx = _Ctx(cfg.engine, store, {}, stats, split, deadline, cfg)
         root = _solve_root(inst, ctx)
         reach = store.reachable(root)   # one walk for count and nodes

@@ -79,15 +79,16 @@ def random_instance(rng: random.Random, max_rows=12, max_cols=10,
 
 def dlx_search(inst: Instance, decompose: bool):
     """The engines' search on dancing links: the reference that the mask
-    search is compared against.  dxz's rules (fewest rows, smallest
-    column id, rows in id order, cache on the live columns) and, with
-    ``decompose``, dxd's too: a single row covering every live column is
-    a literal, and two or more ``bfs_components`` are each searched in a
-    ``decompose_matrix`` submatrix of their own and joined.  A branch
-    child with a live column of size 0 is a dead end: BOTTOM, neither
-    searched nor cached nor counted as a miss.  Returns the store, the
-    root and ``(subs, cache hits, cache misses, dead ends)``; subs
-    counts the components of the joins built, none for a BOTTOM state."""
+    search is compared against.  Every engine's rules (fewest rows,
+    smallest column id, rows in id order, cache on the live columns, a
+    single row covering every live column is a literal) and, with
+    ``decompose``, dxd's too: two or more ``bfs_components`` are each
+    searched in a ``decompose_matrix`` submatrix of their own and
+    joined.  A branch child with a live column of size 0 is a dead end:
+    BOTTOM, neither searched nor cached nor counted as a miss.  Returns
+    the store, the root and ``(subs, cache hits, cache misses, dead
+    ends)``; subs counts the components of the joins built, none for a
+    BOTTOM state."""
     store, cache, traffic = NodeStore(), {}, [0, 0, 0, 0]
 
     def search(m):
@@ -98,7 +99,7 @@ def dlx_search(inst: Instance, decompose: bool):
             traffic[1] += 1
             return cache[key]
         traffic[2] += 1
-        r = m.single_full_row() if decompose else None
+        r = m.single_full_row()
         comps = bfs_components(m) if decompose and r is None else []
         if r is not None:
             node = store.mk_literal(r)

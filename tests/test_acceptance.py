@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import conftest
 from conftest import DEMO_COVERS, DEMO_ROWS, random_instance
 
+from xcover import solver
 from xcover.dlx import DlxMatrix
 from xcover.diagram import NodeStore
 from xcover.dynconn import ComponentSet, _edge
@@ -285,7 +286,8 @@ def test_criterion_07_size_comparison():
             f"sequentially, so the inequality does not hold in general")
 
 
-def test_criterion_08_parallel_determinism():
+def test_criterion_08_parallel_determinism(monkeypatch):
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
     with criterion(8, "thread-count invariance on 20 instances", 60.0) as info:
         rng = random.Random(MASTER_SEED + 8)
         spawned = 0
@@ -296,8 +298,7 @@ def test_criterion_08_parallel_determinism():
                 ref = solve(inst, SolveConfig(engine=eng))
                 ref_covers = ref.store.enumerate(ref.root, limit=2000)
                 for threads in (2, 4, 8):
-                    rep = solve(inst, SolveConfig(engine=eng, threads=threads,
-                                                  spawn_threshold=1))
+                    rep = solve(inst, SolveConfig(engine=eng, threads=threads))
                     spawned += rep.stats.spawned
                     assert rep.count == ref.count
                     assert rep.store.enumerate(rep.root, limit=2000) == \

@@ -14,6 +14,7 @@ from xcover.gen import block_diagonal
 from xcover.solver import SolveConfig, solve
 
 from conftest import chain_join, pentomino_instance
+from test_acceptance import corpus
 
 
 def family_node(store: NodeStore, sets, n_vars, top=TOP):
@@ -618,6 +619,46 @@ def test_dump_round_trip():
     text2 = s2.dump(r2)
     s3, r3, _ = load_dump(text2)
     assert s3.dump(r3) == text2
+
+
+def mapped_dump(text: str, id_map: dict) -> str:
+    """``text``, a dump, with every node id sent through ``id_map``; a
+    decomposable node's children are sorted again, as a store keeps
+    them."""
+    lines = []
+    for line in text.splitlines():
+        old, kind, *fields = line.split()
+        fields = [int(f) for f in fields]
+        if kind == "D":
+            fields[1:] = [id_map[c] for c in fields[1:]]
+        elif kind == "X":
+            fields = sorted(id_map[c] for c in fields)
+        lines.append(" ".join(map(str, (id_map[int(old)], kind, *fields))))
+    return "\n".join(lines) + "\n"
+
+
+def test_corpus_diagrams_round_trip_through_dump():
+    # every engine's diagram on criterion 4's corpus, chains and
+    # decomposable nodes included, survives a dump: same count, nodes
+    # and covers, and the same dump up to renumbering.  export_dot
+    # draws exactly the reachable nodes
+    kinds = set()
+    chains = 0      # diagrams of joins that all became chains
+    for _, _, reps in corpus():
+        for rep in reps.values():
+            store, root = rep.store, rep.root
+            text = store.dump(root)
+            s2, r2, id_map = load_dump(text)
+            assert (s2.count(r2), s2.node_count(r2)) == (rep.count, rep.nodes)
+            assert s2.enumerate(r2) == store.enumerate(root)
+            assert s2.dump(r2) == mapped_dump(text, id_map)
+            drawn = re.findall(r"^  n(\d+) \[shape=", store.export_dot(root),
+                               re.M)
+            assert sorted(map(int, drawn)) == sorted(store.reachable(root))
+            here = {store.kind(m) for m in store.reachable(root)}
+            chains += rep.stats.subs > 0 and "X" not in here
+            kinds |= here
+    assert kinds == {"B", "T", "L", "D", "X"} and chains > 0
 
 
 def test_dump_terminal_only():

@@ -82,19 +82,15 @@ def test_oracle_engine(demo):
     assert rep.nodes == 0
 
 
-def test_condemo_validation(demo):
+def test_condemo_validation(demo, monkeypatch):
     assert ENGINES == ("dxz", "dxd", "dyndxd", "oracle")
     with pytest.raises(ValueError):
         run(demo, "dlx")
     for threads in (0, 2.5):
         with pytest.raises(ValueError):
             run(demo, "dxz", threads=threads)
-    for threads in (1, 2):
-        for spawn_threshold in (None, -1, 2.5):
-            with pytest.raises(ValueError):
-                run(demo, "dxd", threads=threads,
-                    spawn_threshold=spawn_threshold)
-    assert run(demo, "dxd", threads=2, spawn_threshold=0).count == 4
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 0)
+    assert run(demo, "dxd", threads=2).count == 4
 
 
 def test_no_cover_instance():
@@ -232,10 +228,11 @@ def test_dyndxd_deadline_checked_between_setup_steps(demo, monkeypatch):
         run(demo, "dyndxd", timeout_s=0.1)
 
 
-def test_timeout_with_threads(demo):
+def test_timeout_with_threads(demo, monkeypatch):
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
     big = block_diagonal(demo, 6)
     with pytest.raises(SolveTimeout):
-        run(big, "dyndxd", threads=4, spawn_threshold=1, timeout_s=1e-9)
+        run(big, "dyndxd", threads=4, timeout_s=1e-9)
 
 
 # Solves in a child process, so a solve that ignores its deadline is
@@ -318,8 +315,8 @@ def test_dyndxd_builds_one_component_set(demo, monkeypatch, threads):
         init(self, *args)
 
     monkeypatch.setattr(ComponentSet, "__init__", counted)
-    rep = run(block_diagonal(demo, 3), "dyndxd", threads=threads,
-              spawn_threshold=1)
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
+    rep = run(block_diagonal(demo, 3), "dyndxd", threads=threads)
     assert rep.count == 4 ** 3 and rep.stats.subs == 6
     assert len(built) == 1
 
@@ -346,7 +343,8 @@ def test_split_join_components_search_no_components(demo, monkeypatch,
     ref = run(big, engine)
     at_root = list(calls)
     calls.clear()
-    rep = run(big, engine, threads=2, spawn_threshold=1)
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
+    rep = run(big, engine, threads=2)
     assert rep.stats.spawned > 0 and calls == at_root
     assert len(at_root) == (1 if engine == "dxd" else 6)     # 6 components
     assert traffic_of(rep) == traffic_of(ref)
@@ -465,34 +463,95 @@ def test_pentomino_dxz_ends_starved_states_uncounted(monkeypatch):
     assert (rep.stats.cache_hits, rep.stats.cache_misses,
             rep.stats.dead) == (902, 5298, 12386)
     assert {tag: log.count(tag) for _, _, tag in KERNEL_CALLS} == \
-        {"enter": 18, "select_column": 7265}
+        {"enter": 18, "select_column": 7259}
 
 
 def test_ladder_dxz_keeps_its_counts(demo, monkeypatch):
     # on block_diagonal(demo, 400) a row choice touches one block of
-    # columns, so every state but one, in the last block, is entered on
-    # the counts
+    # columns, so every state is entered on the counts but one, in the
+    # last block, which is a literal and chooses no column
     log = []
     log_calls(monkeypatch, log, *KERNEL_CALLS)
     rep = run(block_diagonal(demo, 400), "dxz")
     assert rep.count == 4 ** 400
-    assert (log.count("enter"), log.count("select_column")) == (1598, 1)
+    assert (log.count("enter"), log.count("select_column")) == (1598, 0)
 
 
+@pytest.mark.parametrize("engine", DIAGRAM_ENGINES)
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_dxz_resumes_counts_after_a_popcount_subtree(demo, monkeypatch, k):
-    # one state's row reaches every live column: F's child once only the
-    # last block's column 6 is live.  It branches on popcounts, and the
-    # states searched after it are entered on the counts again, which
-    # are still its parent's; the diagram and cache traffic stay dlx's
-    inst = block_diagonal(demo, k)
+def test_one_row_state_is_a_literal_in_every_engine(demo, monkeypatch,
+                                                    engine, k):
+    # a state whose one live row covers every live column is cached as
+    # that row's literal, and no column choice runs on it, in every
+    # engine.  dxz meets one, F's child once only the last block's column
+    # 6 is live; dxd and dyndxd two per block, one in each component
+    chosen = []
+    for cls, name in ((MaskTables, "select_column"), (ColumnCounts, "select")):
+        def logged(self, cols, *args, _f=getattr(cls, name)):
+            chosen.append(cols)
+            return _f(self, cols, *args)
+
+        monkeypatch.setattr(cls, name, logged)
+    cache = {}
+    ctx = _Ctx(engine, NodeStore(), cache, SolveStats(), None, None,
+               SolveConfig(engine=engine))
+    solver._solve_root(block_diagonal(demo, k), ctx)
+    row_cols = ctx.masks.row_cols
+    literals = 0
+    for key, node in cache.items():
+        live = [r for r, m in enumerate(row_cols) if not m & ~key]
+        if len(live) == 1 and row_cols[live[0]] == key:
+            assert ctx.store.entry(node) == ("L", live[0])
+            assert key not in chosen
+            literals += 1
+    assert literals == (1 if engine == "dxz" else 2 * k)
+
+
+# choosing R0 kills R6, which spans four columns, so R0's reach covers
+# every live column and its child branches on popcounts; below it, R3's
+# reach leaves columns out
+POPCOUNT_ROWS = [[0, 2, 4], [1, 3], [1, 2], [1], [3, 5], [3, 5],
+                 [2, 3, 4, 5]]
+
+
+def popcount_instance() -> Instance:
+    return Instance.build([f"c{c}" for c in range(6)],
+                          [(f"R{i}", r) for i, r in enumerate(POPCOUNT_ROWS)])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dxz_resumes_counts_after_a_popcount_subtree(monkeypatch, k):
+    # once only the last block's columns c1, c3 and c5 are live, R1's
+    # reach covers them all: its child, a dead end, is not entered on
+    # the counts but ended by a popcount scan, and R3's child after it
+    # is entered on the counts, which are still their parent's; the
+    # diagram and cache traffic stay dlx's
+    inst = block_diagonal(popcount_instance(), k)
     log = []
     log_calls(monkeypatch, log, (ColumnCounts, "enter", "E"),
               (MaskTables, "select_column", "P"))
     rep = run(inst, "dxz")
     order = "".join(log)
-    assert order == {1: "EPE", 2: "EEEPEEE", 3: "EEEEEPEEEEE"}[k]
+    assert order == {2: "EEEEEPE", 3: "EEEEEEEEEPE"}[k]
     assert "E" in order[order.index("P"):]
+    store, root, traffic = dlx_search(inst, decompose=False)
+    assert rep.store.dump(rep.root) == store.dump(root)
+    assert traffic_of(rep) == traffic
+
+
+def test_dxz_resumes_counts_after_a_popcount_frame(monkeypatch):
+    # under the first block's R0, the second block's R2 leaves that
+    # block's column c1 live with two rows, both in R2's reach: its child
+    # branches by popcount in a frame of its own (P).  Once that frame is
+    # popped, the first block's R2 child is entered on the counts again
+    base = Instance.build(["c0", "c1"], [("R0", [0, 1]), ("R1", [1]),
+                                         ("R2", [0]), ("R3", [1])])
+    inst = block_diagonal(base, 2)
+    log = []
+    log_calls(monkeypatch, log, (ColumnCounts, "enter", "E"),
+              (MaskTables, "select_column", "P"))
+    rep = run(inst, "dxz")
+    assert "".join(log) == "EPE"
     store, root, traffic = dlx_search(inst, decompose=False)
     assert rep.store.dump(rep.root) == store.dump(root)
     assert traffic_of(rep) == traffic
@@ -511,13 +570,10 @@ def exact_enter(enter):
 
 
 def test_dxz_counts_stay_exact_below_a_popcount_subtree(monkeypatch):
-    # choosing R0 kills R6, which spans four columns, so R0's reach covers
-    # every live column and its child branches on popcounts; below it,
-    # R3's reach leaves columns out.  Were R3's child entered on counts,
-    # column 5 would keep R6 in its count.
-    rows = [[0, 2, 4], [1, 3], [1, 2], [1], [3, 5], [3, 5], [2, 3, 4, 5]]
-    inst = Instance.build([f"c{c}" for c in range(6)],
-                          [(f"R{i}", r) for i, r in enumerate(rows)])
+    # below R0's child, which branches on popcounts, R3's reach leaves
+    # columns out.  Were R3's child entered on counts, column 5 would
+    # keep R6 in its count.
+    inst = popcount_instance()
     monkeypatch.setattr(ColumnCounts, "enter",
                         exact_enter(ColumnCounts.enter))
     rep = run(inst, "dxz")
@@ -772,7 +828,7 @@ def test_ladder_enumeration_memory_is_per_segment(demo):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4, 8])
-def test_thread_count_invariance(demo, threads):
+def test_thread_count_invariance(demo, monkeypatch, threads):
     # the components of block_diagonal share no cache key, so the counts
     # match the single-threaded run exactly: no worker's counts are lost.
     # Each block is the demo beside DEAD_END_ROWS, whose search meets
@@ -781,9 +837,10 @@ def test_thread_count_invariance(demo, threads):
                               for i, r in enumerate(DEAD_END_ROWS)]
     big = block_diagonal(Instance.build([f"c{c}" for c in range(11)], rows),
                          4)
+    monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
     for engine in ("dxd", "dyndxd"):
         ref = run(big, engine)
-        rep = run(big, engine, threads=threads, spawn_threshold=1)
+        rep = run(big, engine, threads=threads)
         assert rep.count == 4 ** 4
         assert rep.store.enumerate(rep.root, limit=5) == \
             ref.store.enumerate(ref.root, limit=5)
@@ -977,7 +1034,7 @@ def test_no_fork_runs_inline(monkeypatch):
 
 
 def test_small_root_children_stay_inline(demo):
-    # below spawn_threshold live rows a child is not worth a fork, so
+    # below _SPAWN_ROWS live rows a child is not worth a fork, so
     # threads=2 is threads=1, node for node
     big = block_diagonal(demo, 6)
     for engine in DIAGRAM_ENGINES:
