@@ -334,8 +334,13 @@ class NodeStore:
         a full partial set per node and item.  The segments before the
         last start at their least parts, which one call finds for all of
         them (``_least_parts``), and each builds its stream only when the
-        odometer first moves it.  A smaller root is one segment, with no
-        cut pass; a product of one segment has no least part.
+        odometer first moves it.  Sets leave the product through C
+        iterators, one ``map`` per odometer step over the last segment's
+        items (its item list, once that stream is done), chained by
+        ``itertools.chain``: Python code runs once per step, not once per
+        set.  A smaller root is one segment, with no cut pass, read
+        through its stream alone; a product of one segment has no least
+        part.
         """
         mask = self._vars[n]
         segments = (self._segments(n) if mask.bit_count() >= _CUT_VARS
@@ -735,38 +740,48 @@ _LEAF = ("E",)      # neither a decision nor a literal
 
 
 def _product(store: NodeStore, segments: list, end: int):
-    """Yield the sets of a family that is the product of ``segments``
-    (``NodeStore._segments``), in lexicographic order.
+    """An iterator over the sets of a family that is the product of
+    ``segments`` (``NodeStore._segments``), in lexicographic order.
 
     A segment that another follows reads its end as one sentinel row
     ``end``, which exceeds every row id.  Every later segment adds rows
     above the segment's, so a part that is a proper prefix of another
     must sort after it, as it does with the sentinel.  Sets then come
     from an odometer over the segments' sorted parts, the last segment
-    varying fastest: the parts of the earlier segments, sentinels
-    stripped, are joined once per step among them, and each item of the
-    last segment is appended to that head.
+    varying fastest (``_steps``): the parts of the earlier segments,
+    sentinels stripped, are joined once per step into a head, and each
+    step hands over its sets as one ``map`` that appends each item of
+    the last segment to that head.  The steps are chained in C, so the
+    generator runs once per step, not once per set.  A product of one
+    segment is that segment's stream, read from the start, with no
+    chain."""
+    *firsts, (heads, _) = segments
+    tail = _segment_stream(store, heads, TOP, None)
+    if not firsts:
+        return _members(tail)
+    return chain.from_iterable(_steps(store, firsts, tail, end))
+
+
+def _steps(store: NodeStore, firsts: list, tail: _Stream, end: int):
+    """Yield, per odometer step of ``_product``, an iterator over the
+    step's sets: the step's head followed by each item of ``tail``.
+    While ``tail`` still grows (the first step), its items come from
+    ``_members``, which grows it only as far as they are drawn; once it
+    is done, straight from its item list.
 
     The odometer moves the earlier segments seldom, so each starts at
     its least part, which one call finds for all of them
     (``_least_parts``), and its stream, read by a ``_Streams`` of its
     own, is built only when the odometer first asks it for a second
     part.  Drawing 10 covers of the 400-block ladder builds 3 or 4
-    streams for its 799 or 800 segments.  A product of one segment reads
-    it from the start, with no least part."""
-    *firsts, (heads, _) = segments
-    tail = _segment_stream(store, heads, TOP, None)
-    if not firsts:
-        yield from _members(tail)
-        return
+    streams for its 799 or 800 segments."""
     least = _least_parts(store, firsts, end)
     parts = list(least)
     streams = [None] * len(least)
     at = [0] * len(least)
     while True:
         head = tuple(chain.from_iterable(parts))
-        for t in _members(tail):
-            yield head + t
+        yield map(head.__add__, tail.items if tail.done else _members(tail))
         i = len(least) - 1
         while True:
             s = streams[i]
@@ -865,6 +880,10 @@ def _fill(s: _Stream, k: int) -> bool:
 
 
 def _members(root: _Stream):
+    """Yield the items of ``root`` in order, growing it only as far as
+    they are drawn.  A product reads its last segment through this
+    generator only on the first odometer step, while that stream still
+    grows (``_steps``); a finished stream is read from its item list."""
     items = root.items
     i = 0
     while True:

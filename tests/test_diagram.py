@@ -11,6 +11,8 @@ from xcover.diagram import (BOTTOM, TOP, NodeId, NodeStore, _bits,
                             _least_parts, _members, _product,
                             _segment_stream, load_dump)
 from xcover.gen import block_diagonal
+from xcover.instance import Instance
+from xcover.oracle import enumerate_covers
 from xcover.solver import SolveConfig, solve
 
 from conftest import chain_join, pentomino_instance
@@ -536,12 +538,69 @@ def test_one_segment_root_reads_no_least_part(monkeypatch):
 
 def test_terminals_are_one_segment():
     # the cut pass on a terminal gives one segment, which the product
-    # reads as its family: nothing for BOTTOM, the empty set for TOP
+    # reads as its family through that segment's stream alone, with no
+    # chain of odometer steps: nothing for BOTTOM, the empty set for TOP
     s = NodeStore()
     for n, want in ((BOTTOM, []), (TOP, [()])):
         segments = s._segments(n)
         assert segments == [((n,), TOP)]
-        assert list(_product(s, segments, s._vars[n].bit_length())) == want
+        members = _product(s, segments, s._vars[n].bit_length())
+        assert not isinstance(members, itertools.chain)
+        assert list(members) == want
+
+
+def subsets_instance() -> Instance:
+    """The 15 non-empty subsets of 4 columns as rows: its 15 covers are
+    the partitions of the columns, and every row lies in one."""
+    rows = [(f"S{m}", [c for c in range(4) if m >> c & 1])
+            for m in range(1, 16)]
+    return Instance.build([f"C{c}" for c in range(4)], rows)
+
+
+@pytest.mark.parametrize("engine", ["dxd", "dxz", "dyndxd"])
+def test_twelve_block_product_draws_in_odometer_order(engine):
+    # 12 blocks of 15 covers: the first 10,000 covers cross 667
+    # odometer steps, the last segment read first while its stream grows
+    # and then from its finished items, the earlier segments moving;
+    # the reference is the product of one block's oracle covers, offset
+    # per block (a block's covers share no prefix: they are an antichain)
+    base = subsets_instance()
+    block = enumerate_covers(base)
+    assert len(block) == 15
+    assert sorted({r for c in block for r in c}) == list(range(15))
+    k = 12
+    rep = solve(block_diagonal(base, k), SolveConfig(engine=engine))
+    assert rep.count == 15 ** k
+    assert len(rep.store.variables(rep.root)) == 180
+    assert len(rep.store._segments(rep.root)) >= k
+    blocks = [[tuple(r + 15 * i for r in c) for c in block] for i in range(k)]
+    want = [sum(p, ()) for p in itertools.islice(itertools.product(*blocks),
+                                                 10_000)]
+    assert rep.store.enumerate(rep.root, limit=10_000) == want
+
+
+@pytest.mark.parametrize("engine", ["dxd", "dxz", "dyndxd"])
+def test_first_cover_leaves_the_last_segment_growing(monkeypatch, engine):
+    # drawing one cover of the 12-block product leaves the last
+    # segment's stream unfinished: reading it whole up front would
+    # finish it
+    base = subsets_instance()
+    least = enumerate_covers(base)[0]
+    rep = solve(block_diagonal(base, 12), SolveConfig(engine=engine))
+    built = []
+    segment_stream = diagram._segment_stream
+
+    def recorded(store, heads, stop, end):
+        s = segment_stream(store, heads, stop, end)
+        built.append((end, s))
+        return s
+
+    monkeypatch.setattr(diagram, "_segment_stream", recorded)
+    first = next(rep.store.iter_members(rep.root))
+    assert first == tuple(r + 15 * i for i in range(12) for r in least)
+    tails = [s for end, s in built if end is None]
+    assert len(tails) == 1
+    assert not tails[0].done
 
 
 def binary_prefix(pairs, rows, n: int) -> list:
