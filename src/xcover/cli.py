@@ -22,8 +22,7 @@ nor counted in ``cache_misses``.
 
 Exit status 0 on success, 2 on usage, I/O, or parse errors.  Bench
 timeouts are reported as TO rows, and an instance an engine refuses
-(the oracle's row limit) as an error row; neither stops the run.  The
-default of ``--threads`` comes from $XCOVER_THREADS when set.
+(the oracle's row limit) as an error row; neither stops the run.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -42,19 +40,6 @@ from .instance import (ParseError, _content_lines, _digit_fields, parse_instance
 from .solver import ENGINES, SolveConfig, SolveTimeout, solve
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("XCOVER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"XCOVER_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise ValueError("XCOVER_THREADS must be >= 1")
-    return n
 
 
 def _detect_format(path: Path, text: str) -> str:
@@ -181,9 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="processes that may split the search at its root "
-                            "(default $XCOVER_THREADS or 1)")
+                            "(default 1)")
 
     p = sub.add_parser("count", help="count the exact covers of an instance")
     p.add_argument("file")
@@ -226,8 +211,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) is None:
-            args.threads = _default_threads()
         return args.fn(args)
     except (ParseError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,7 +140,6 @@ class ComponentSet:
     def __init__(self, vertices=(), edges=()):
         self.forest = SpanningForest()
         self._comp_of = {}
-        self._comps = set()
         self.inc_update(set(vertices), edges)
 
     def __contains__(self, v) -> bool:
@@ -149,8 +148,12 @@ class ComponentSet:
     def __len__(self) -> int:
         return len(self._comp_of)
 
+    def _components(self) -> set:
+        """The distinct components, read from the vertex index."""
+        return set(self._comp_of.values())
+
     def num_components(self) -> int:
-        return len(self._comps)
+        return len(self._components())
 
     def find_cc(self, v) -> Component:
         comp = self._comp_of.get(v)
@@ -160,7 +163,7 @@ class ComponentSet:
 
     def partition(self) -> list:
         """Vertex sets of the components, ordered by smallest member."""
-        comps = sorted(self._comps, key=lambda c: min(c.vertices))
+        comps = sorted(self._components(), key=lambda c: min(c.vertices))
         return [set(c.vertices) for c in comps]
 
     def dec_update(self, removed_vertices, removed_edges, check=None):
@@ -212,7 +215,6 @@ class ComponentSet:
                 comp.non_tree -= inside
                 for w in side:
                     self._comp_of[w] = split
-                self._comps.add(split)
         for v in sorted(removed_vertices):
             comp = self._comp_of.get(v)
             if comp is None:
@@ -220,7 +222,6 @@ class ComponentSet:
             if len(comp.vertices) != 1:
                 raise DynConnError(f"vertex {v} still has live edges")
             self.forest.remove_vertex(v)
-            self._comps.discard(comp)
             del self._comp_of[v]
 
     def inc_update(self, added_vertices, added_edges, check=None):
@@ -235,9 +236,7 @@ class ComponentSet:
             if v in self._comp_of:
                 raise DynConnError(f"vertex {v} already present")
             self.forest.add_vertex(v)
-            comp = Component({v}, set())
-            self._comps.add(comp)
-            self._comp_of[v] = comp
+            self._comp_of[v] = Component({v}, set())
         for e in sorted({_edge(a, b) for a, b in added_edges}):
             a, b = e
             ca = self._comp_of.get(a)
@@ -257,19 +256,18 @@ class ComponentSet:
                 big.non_tree |= small.non_tree
                 for w in small.vertices:
                     self._comp_of[w] = big
-                self._comps.discard(small)
 
     def edges(self) -> set:
         """All live edges (tree and non-tree)."""
         out = {(a, b) for a, ws in self.forest.tree.items() for b in ws if a < b}
-        for comp in self._comps:
+        for comp in self._components():
             out |= comp.non_tree
         return out
 
     def validate(self):
         """Full structural check of every component; raises on violation."""
         seen = set()
-        for comp in self._comps:
+        for comp in self._components():
             if not comp.vertices:
                 raise AssertionError("empty component")
             if comp.vertices & seen:

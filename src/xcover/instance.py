@@ -23,7 +23,8 @@ whose first non-blank character is ``#`` are comments.
     1 0 1
     0 1 0
 
-Line 1 is ``<nrows> <ncols>``; names are derived as R1..Rn and C1..Cm.
+Line 1 is ``<nrows> <ncols>``, both at least 1; names are derived as
+R1..Rn and C1..Cm.
 
 Names must be non-empty, contain no whitespace or ``:``, and must not
 start with ``#`` (so that serialized files parse back unambiguously).
@@ -260,6 +261,8 @@ def _parse_matrix(text: str) -> Instance:
         checked(n_cols if rows else min(n_cols, 1))
         return ParseError(lineno, message)
 
+    if not n_rows:
+        raise fault(header_no, "matrix needs at least one row")
     for lineno, line in lines:
         if len(rows) == n_rows:
             raise fault(lineno, "trailing content after matrix rows")
@@ -287,7 +290,8 @@ def serialize_instance(inst: Instance, fmt: str = "xc") -> str:
 
     ``xc`` round-trips exactly.  ``matrix`` writes only the 0/1 grid, so a
     round trip restores names only when they already are the canonical
-    R1../C1.. ones that matrix parsing derives.
+    R1../C1.. ones that matrix parsing derives; an instance without rows
+    has no grid to write, and raises ``ValueError``.
     """
     if fmt == "xc":
         out = [" ".join(inst.columns)]
@@ -295,6 +299,8 @@ def serialize_instance(inst: Instance, fmt: str = "xc") -> str:
             out.append(f"{name}: " + " ".join(inst.columns[c] for c in cols))
         return "\n".join(out) + "\n"
     if fmt == "matrix":
+        if not inst.rows:
+            raise ValueError("matrix format needs at least one row")
         out = [f"{inst.n_rows} {inst.n_cols}"]
         for _, cols in inst.rows:
             marks = set(cols)

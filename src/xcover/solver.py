@@ -76,11 +76,13 @@ What each engine adds:
                the decomposable node stays (the worked example's root
                is still the join of its two components).
 * ``dyndxd``   is dxd with the components maintained incrementally by a
-               dynconn.ComponentSet instead of the flood fill: on
-               entering a searched state (never a dead end), the rows that
-               its row choice removed leave the set in one batch (with
-               their incident edges, each given once), and come back in
-               one batch once the state's node is built.  The solve
+               dynconn.ComponentSet instead of the flood fill, over the
+               same row graph: its edges are read from the conflict
+               masks, built once for every engine.  On entering a
+               searched state (never a dead end), the rows that its row
+               choice removed leave the set in one batch (with their
+               incident edges, each given once), and come back in one
+               batch once the state's node is built.  The solve
                keeps one ComponentSet, and a join and its components
                are searched against it: a join reads its components
                with ``find_cc``.
@@ -180,9 +182,9 @@ class _Ctx:
       ``SolveTimeout``, or None.
     * ``cfg``: the ``SolveConfig`` of the solve, whose ``threads``
       ``_split_root`` reads.
-    * ``cs``, ``adj``: dyndxd only, the solve's one ComponentSet and the
-      row adjacency it was built from; None for dxz and dxd.  ``cs``
-      holds the rows of the state being searched, and those of the
+    * ``cs``: dyndxd only, the solve's one ComponentSet, whose edges are
+      those of the row graph ``masks.conflict``; None for dxz and dxd.
+      It holds the rows of the state being searched, and those of the
       components of its ancestors' joins that are not yet searched or
       were searched already; a forked worker has its own copy.
     * ``masks``: the ``MaskTables`` of the solve, set by ``_mask_root``.
@@ -192,10 +194,10 @@ class _Ctx:
     """
 
     __slots__ = ("engine", "store", "cache", "stats", "pool", "deadline",
-                 "cfg", "cs", "adj", "masks", "counts")
+                 "cfg", "cs", "masks", "counts")
 
     def __init__(self, engine, store, cache, stats, pool, deadline, cfg,
-                 cs=None, adj=None, masks=None):
+                 cs=None, masks=None):
         self.engine = engine
         self.store = store
         self.cache = cache
@@ -204,7 +206,6 @@ class _Ctx:
         self.deadline = deadline
         self.cfg = cfg
         self.cs = cs
-        self.adj = adj
         self.masks = masks
         self.counts = None
 
@@ -262,37 +263,25 @@ def decompose_matrix(m: DlxMatrix, comps) -> list:
     return subs
 
 
-def _row_adjacency(inst) -> dict:
-    """adjacency[r] = rows sharing at least one column with r."""
-    by_col = [[] for _ in range(inst.n_cols)]
-    for r, (_, cols) in enumerate(inst.rows):
-        for c in cols:
-            by_col[c].append(r)
-    adj = {r: set() for r in range(inst.n_rows)}
-    for group in by_col:
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
+def _component_set(conflict) -> ComponentSet:
+    """The ComponentSet of every row of the row graph ``conflict``: bit s
+    of ``conflict[r]`` (s != r) is the edge between rows r and s, which
+    is given once, from its smaller end."""
+    return ComponentSet(range(len(conflict)),
+                        ((r, s) for r, m in enumerate(conflict)
+                         for s in _bits(m) if s > r))
 
 
-def _component_set(rows, adj) -> ComponentSet:
-    """Components of the row graph ``adj`` restricted to ``rows``; each
-    edge is given once, from its smaller end."""
-    rows = set(rows)
-    return ComponentSet(rows, [(r, s) for r in rows for s in adj[r]
-                               if s > r and s in rows])
-
-
-def _removed_edges(gone, adj, cs) -> list:
-    """The edges of ``cs`` at the rows ``gone``, each given once: an edge
-    between two of them from the first one listed."""
+def _removed_edges(gone, conflict, cs) -> list:
+    """The edges of ``cs`` at the rows ``gone``, read from the row graph
+    ``conflict`` and each given once: an edge between two of them from
+    the first one listed (a row's own bit is in ``done`` already)."""
     done = set()
     edges = []
     for r in gone:
         done.add(r)
-        edges += [(r, s) for s in adj[r] if s in cs and s not in done]
+        edges += [(r, s) for s in _bits(conflict[r])
+                  if s in cs and s not in done]
     return edges
 
 
@@ -304,7 +293,8 @@ def _check_deadline(ctx: _Ctx):
 def _search(m: DlxMatrix, ctx: _Ctx) -> int:
     """Compile the live part of ``m``, for any engine: its live rows are
     read into masks and ``m`` is left untouched.  For dyndxd, ``ctx``
-    carries a ``cs`` over exactly those rows and their ``adj``."""
+    carries a ``cs`` over exactly those rows and the edges between them
+    that ``MaskTables.conflict`` gives: rows that share a column."""
     live = m.live_row_ids()
     if ctx.cs is not None and len(ctx.cs) != len(live):
         raise AssertionError("component structure out of sync with search")
@@ -363,7 +353,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     last, prev = t.starver
     store, cache, stats, counts = ctx.store, ctx.cache, ctx.stats, ctx.counts
     reach = None if counts is None else counts.reach
-    cs, adj, split = ctx.cs, ctx.adj, ctx.pool
+    cs, split = ctx.cs, ctx.pool
     check = partial(_check_deadline, ctx)   # also inside dynconn's batches
     stack = []
     uncounted = -1      # depth of dxz's first frame off its counts, or -1
@@ -420,7 +410,7 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                 else:
                     if via is not None:
                         gone = [r for r in _bits(conflict[via]) if r in cs]
-                        undo = gone, _removed_edges(gone, adj, cs)
+                        undo = gone, _removed_edges(gone, conflict, cs)
                         cs.dec_update(*undo, check)
                     comps = []
                     left = rows
@@ -644,16 +634,15 @@ def _worker(kids, base: int, fd: int, ctx: _Ctx, parent: int, prctl):
 
 
 def _solve_root(inst, ctx: _Ctx) -> int:
-    """Search the instance's masks; dyndxd first builds its row
-    adjacency and the ComponentSet of every row, each only while the
-    deadline has not passed."""
+    """Search the instance's masks; dyndxd first builds the ComponentSet
+    of every row from their conflict masks, only while the deadline has
+    not passed."""
+    tables = MaskTables.from_instance(inst)
     if ctx.engine == "dyndxd":
         _check_deadline(ctx)
-        ctx.adj = _row_adjacency(inst)
-        _check_deadline(ctx)
-        ctx.cs = _component_set(range(inst.n_rows), ctx.adj)
-    return _mask_root(MaskTables.from_instance(inst),
-                      (1 << inst.n_cols) - 1, (1 << inst.n_rows) - 1, ctx)
+        ctx.cs = _component_set(tables.conflict)
+    return _mask_root(tables, (1 << inst.n_cols) - 1,
+                      (1 << inst.n_rows) - 1, ctx)
 
 
 def solve(inst, config: SolveConfig | None = None) -> SolveReport:

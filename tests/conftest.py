@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
@@ -61,6 +62,13 @@ DEMO_MATRIX = """\
 @pytest.fixture
 def demo() -> Instance:
     return Instance.build(["1", "2", "3", "4", "5", "6"], DEMO_ROWS)
+
+
+def row_edges(inst: Instance) -> set:
+    """The row graph of ``inst``, built from its columns: a pair
+    ``(r, s)``, r < s, for every two rows that share a column."""
+    return {edge for c in range(inst.n_cols)
+            for edge in combinations(inst.rows_of_column(c), 2)}
 
 
 def random_instance(rng: random.Random, max_rows=12, max_cols=10,

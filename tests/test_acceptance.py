@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 import conftest
-from conftest import DEMO_COVERS, DEMO_ROWS, random_instance
+from conftest import DEMO_COVERS, DEMO_ROWS, random_instance, row_edges
 
 from xcover import solver
 from xcover.dlx import DlxMatrix
@@ -21,8 +21,7 @@ from xcover.dynconn import ComponentSet, _edge
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
 from xcover.instance import Instance
 from xcover.oracle import count_covers, enumerate_covers
-from xcover.solver import (SolveConfig, SolveStats, _Ctx, _row_adjacency,
-                           _search, solve)
+from xcover.solver import SolveConfig, SolveStats, _Ctx, _search, solve
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
 MASTER_SEED = 20260814
@@ -309,13 +308,11 @@ def test_criterion_08_parallel_determinism(monkeypatch):
 def _search_with_snapshot(inst, engine):
     m = DlxMatrix.from_instance(inst)
     before = m.snapshot()
-    cs = adj = None
+    cs = None
     if engine == "dyndxd":
-        adj = _row_adjacency(inst)
-        cs = ComponentSet(range(inst.n_rows),
-                          {_edge(r, s) for r in adj for s in adj[r]})
+        cs = ComponentSet(range(inst.n_rows), row_edges(inst))
     ctx = _Ctx(engine, NodeStore(), {}, SolveStats(), None, None,
-               SolveConfig(engine=engine), cs, adj)
+               SolveConfig(engine=engine), cs)
     root = _search(m, ctx)
     assert not m._cover_stack
     assert m.snapshot() == before, "matrix changed across solve"

@@ -104,6 +104,9 @@ MATRIX_ERRORS = {
     "2 2\n# c\n0 0\n": "line 3: row 'R1' is empty",
     "0 0\n1\n": "line 1: instance needs at least one column",
     "2 0\n": "line 1: instance needs at least one column",
+    # a grid of no rows is refused before any of its columns is named
+    "0 3\n": "line 1: matrix needs at least one row",
+    "0 1000000\n": "line 1: matrix needs at least one row",
 }
 
 
@@ -215,6 +218,16 @@ def test_matrix_round_trip_from_canonical_names():
     inst = parse_instance(DEMO_MATRIX, "matrix")
     text = serialize_instance(inst, "matrix")
     assert parse_instance(text, "matrix") == inst
+
+
+def test_matrix_serialization_refuses_an_instance_without_rows():
+    # the matrix format has no grid of no rows, so none is written that
+    # would not parse back; the xc format keeps such an instance
+    inst = parse_instance("a b\n", "xc")
+    assert inst.n_rows == 0
+    with pytest.raises(ValueError, match="at least one row"):
+        serialize_instance(inst, "matrix")
+    assert parse_instance(serialize_instance(inst, "xc"), "xc") == inst
 
 
 @given(st.integers(0, 10**9))

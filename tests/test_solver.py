@@ -24,12 +24,11 @@ from xcover.instance import Instance, serialize_instance
 from xcover.masks import ColumnCounts, MaskTables
 from xcover.oracle import count_covers, enumerate_covers
 from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
-                           _component_set, _Ctx, _row_adjacency, _search,
-                           _worker_count, bfs_components, decompose_matrix,
-                           solve)
+                           _Ctx, _search, _worker_count, bfs_components,
+                           decompose_matrix, solve)
 
 from conftest import (DEMO_COVERS, dlx_search, pentomino_instance,
-                      random_instance)
+                      random_instance, row_edges)
 from test_acceptance import corpus
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
@@ -193,11 +192,12 @@ def test_zero_timeout_raises(demo, engine):
 
 
 def test_dyndxd_zero_timeout_builds_no_adjacency(demo, monkeypatch):
-    # an expired deadline ends a dyndxd solve before its setup starts
-    def built(inst):
-        raise AssertionError("row adjacency built after the deadline")
+    # an expired deadline ends a dyndxd solve before its ComponentSet,
+    # the one structure its setup adds to every engine's masks, is built
+    def built(conflict):
+        raise AssertionError("ComponentSet built after the deadline")
 
-    monkeypatch.setattr("xcover.solver._row_adjacency", built)
+    monkeypatch.setattr("xcover.solver._component_set", built)
     with pytest.raises(SolveTimeout):
         run(demo, "dyndxd", timeout_s=0)
 
@@ -213,19 +213,47 @@ def test_dxz_zero_timeout_builds_no_column_counts(demo, monkeypatch):
 
 
 def test_dyndxd_deadline_checked_between_setup_steps(demo, monkeypatch):
-    # a deadline that passes while the row adjacency is built ends the
-    # solve before the first ComponentSet is built
+    # a deadline that passes while the masks are built ends the solve
+    # before the ComponentSet is built
+    from_instance = MaskTables.from_instance
+
     def slow(inst):
         time.sleep(0.3)
-        return _row_adjacency(inst)
+        return from_instance(inst)
 
-    def built(rows, adj):
+    def built(conflict):
         raise AssertionError("ComponentSet built after the deadline")
 
-    monkeypatch.setattr("xcover.solver._row_adjacency", slow)
+    monkeypatch.setattr(MaskTables, "from_instance", slow)
     monkeypatch.setattr("xcover.solver._component_set", built)
     with pytest.raises(SolveTimeout):
         run(demo, "dyndxd", timeout_s=0.1)
+
+
+def test_dyndxd_setup_holds_one_row_graph(monkeypatch):
+    # dyndxd's ComponentSet reads its edges from the masks' conflict rows,
+    # which every engine builds: once setup is done, a solve of
+    # pentomino 3x10 holds 10.4 MiB, where a second copy of the row graph
+    # as a dict of sets beside the masks held 19.2 MiB
+    class Stop(Exception):
+        pass
+
+    held = []
+
+    def stop(tables, cols, rows, ctx):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise Stop
+
+    inst = pentomino_instance(3, 10)
+    monkeypatch.setattr(solver, "_mask_root", stop)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            run(inst, "dyndxd")
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 14.75 * 2 ** 20
 
 
 def test_timeout_with_threads(demo, monkeypatch):
@@ -293,11 +321,9 @@ def test_dyndxd_checks_the_deadline_inside_a_batch(monkeypatch, batch):
 def test_dyn_components_check_sync_with_matrix(demo):
     # the ComponentSet must hold exactly the matrix's live rows; an extra
     # isolated row 6 must not be hidden from the check
-    adj = _row_adjacency(demo)
-    adj[6] = set()
-    cs = _component_set(range(7), adj)
+    cs = ComponentSet(range(7), row_edges(demo))
     ctx = _Ctx("dyndxd", NodeStore(), {}, SolveStats(), None, None,
-               SolveConfig(engine="dyndxd"), cs, adj)
+               SolveConfig(engine="dyndxd"), cs)
     with pytest.raises(AssertionError):
         _search(DlxMatrix.from_instance(demo), ctx)
 
