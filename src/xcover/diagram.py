@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from itertools import chain, compress, islice
-from typing import NamedTuple
 
 NodeId = int
 
@@ -45,17 +44,6 @@ _T = "T"   # top
 _L = "L"   # literal        ('L', var)
 _D = "D"   # decision       ('D', var, pos, neg)
 _X = "X"   # decomposable   ('X', children-tuple)
-
-
-class _ChainPart(NamedTuple):
-    """One child of a join, as ``NodeStore.mk_join`` weighs its chain."""
-    closure: set        # nodes copied when a tail replaces TOP
-    kept: int           # non-terminal nodes the copy reaches unchanged
-    kept_top: bool      # ... and whether it reaches TOP
-    kept_bottom: bool   # ... or BOTTOM
-    own: int            # non-terminal nodes under the child itself
-    own_top: bool
-    own_bottom: bool
 
 
 class NodeStore:
@@ -155,9 +143,16 @@ class NodeStore:
         that makes the chain smallest; on a tie, the one whose copy
         would cost the most nodes, then the last one.  Both forms
         denote the same family; over decision nodes only, the chain is
-        a ZBDD.  Sizes are reckoned before any node is interned, so a
-        rejected chain leaves nothing in the store, and the cost is
-        linear in the number of nodes under the join.
+        a ZBDD.  One walk per child lists, each once, the nodes its copy
+        rebuilds: those reached from the child through decision branches
+        (literals and decomposable nodes end a path).  It also notes
+        whether a branch is TOP or BOTTOM and whether a literal or a
+        nested decomposable is met; what hangs below a nested
+        decomposable stays as it is, and only such a child walks it
+        again (``_reachable_from``) to count it.  Sizes are reckoned
+        from these counts before any node is interned, so a rejected
+        chain leaves nothing in the store, and the copy reads the walked
+        lists: the cost is linear in the number of nodes under the join.
         Copies of decision nodes and literals skip ``mk_decision``'s
         checks, which cannot fail: the children share no variable, no
         copy's positive branch is terminal, and every copy of ``m``
@@ -169,80 +164,83 @@ class NodeStore:
         kept, vs = joined
         if len(kept) < 2:
             return kept[0] if kept else TOP
+        entries = self._entries
         # Every copied node is new and distinct from all others: its
         # variables include the tail's and its own child's.  Children
-        # share no node but the terminals, so sizes add up per child.
-        parts = [self._chain_part(c) for c in kept]
-        # non-terminal nodes if every child were copied, and how many
-        # copies would reach TOP and BOTTOM
-        all_copied = sum(len(p.closure) + p.kept for p in parts)
-        tops = sum(p.kept_top for p in parts)
-        bottoms = sum(p.kept_bottom for p in parts)
+        # share no node but the terminals, so sizes add up per child:
+        # sizes[i] holds kept[i]'s n nodes copied and k below its nested
+        # decomposables, which the copy reaches unchanged; whether those
+        # reach TOP and whether the copy reaches BOTTOM; and own nodes
+        # under the child as it is, and whether they reach TOP, BOTTOM.
+        walks, sizes = [], []
+        all_copied = tops = bottoms = own_all = 0
+        own_top = own_bottom = False
+        for c in kept:
+            walk, seen, nested, literal = [c], {c}, [], False
+            for m in walk:              # the list grows as it is read
+                e = entries[m]
+                if e[0] == _D:
+                    for ch in e[2], e[3]:
+                        if ch not in seen:
+                            seen.add(ch)
+                            if ch > TOP:
+                                walk.append(ch)
+                elif e[0] == _L:
+                    literal = True      # v becomes D(v, tail, BOTTOM)
+                else:
+                    nested.extend(e[1])
+            n = len(walk)
+            top, bottom = TOP in seen, BOTTOM in seen
+            if nested:
+                below = self._reachable_from(nested)
+                k_top, k_bottom = TOP in below, BOTTOM in below
+                below -= {TOP, BOTTOM}
+                k = len(below)
+                own = len(below.union(walk))
+                top, bottom = top or k_top, bottom or k_bottom
+            else:
+                k, k_top, own = 0, False, n
+            copy_bottom = bottom or literal
+            walks.append(walk)
+            sizes.append((n, k, k_top, copy_bottom, own, top, bottom))
+            all_copied += n + k
+            tops += k_top
+            bottoms += copy_bottom
+            own_all += own
+            own_top = own_top or top
+            own_bottom = own_bottom or bottom
         # the tail, kept[-best]: least chain size, then most copied, then last
         best_size, _, best = min(
-            (all_copied - len(p.closure) - p.kept + p.own
-             + (p.own_top or tops > p.kept_top)
-             + (p.own_bottom or bottoms > p.kept_bottom), -len(p.closure), -i)
-            for i, p in enumerate(parts))
-        join_size = (1 + sum(p.own for p in parts)
-                     + any(p.own_top for p in parts)
-                     + any(p.own_bottom for p in parts))
+            (all_copied - n - k + own + (top or tops > k_top)
+             + (bottom or bottoms > copy_bottom), -n, -i)
+            for i, (n, k, k_top, copy_bottom, own, top, bottom)
+            in enumerate(sizes))
+        del sizes
+        join_size = 1 + own_all + own_top + own_bottom
         if best_size >= join_size:
             return self._intern((_X, tuple(kept)), vs)
         tail = kept.pop(-best)          # the tail child is kept as it is
-        del parts[-best]
-        entries, var, intern = self._entries, self._vars, self._intern
-        while kept:                     # each part is freed once copied
-            c, part = kept.pop(), parts.pop()
+        del walks[-best]
+        var, unique = self._vars, self._unique
+        while kept:                     # each walk is freed once copied
+            c, walk = kept.pop(), walks.pop()
             sub = {TOP: tail, BOTTOM: BOTTOM}
             mask = var[tail]
-            for m in sorted(part.closure):  # children have smaller ids
+            for m in sorted(walk):      # children have smaller ids
                 e = entries[m]
                 if e[0] == _D:
-                    sub[m] = intern((_D, e[1], sub[e[2]], sub[e[3]]),
-                                    var[m] | mask)
+                    key = (_D, e[1], sub[e[2]], sub[e[3]])
                 elif e[0] == _L:
-                    sub[m] = intern((_D, e[1], tail, BOTTOM), var[m] | mask)
+                    key = (_D, e[1], tail, BOTTOM)
                 else:
                     sub[m] = self.mk_decomposable(e[1] + (tail,))
+                    continue
+                node = sub[m] = unique.setdefault(key, len(entries))
+                if node == len(entries):    # new; ``_intern`` inlined
+                    entries.append(key)
+                    var.append(var[m] | mask)
             tail = sub[c]
         return tail
-
-    def _chain_part(self, c: NodeId) -> _ChainPart:
-        """What child ``c`` of a join costs in its chain: substituting a
-        tail for TOP copies the nodes reached from ``c`` through decision
-        branches (literals and decomposable nodes end a path), and what
-        hangs below nested decomposables stays as it is."""
-        entries = self._entries
-        closure = {c}
-        stack = [c]
-        nested = []
-        top = bottom = literal = False
-        while stack:
-            e = entries[stack.pop()]
-            if e[0] == _D:
-                for ch in (e[2], e[3]):
-                    if ch > TOP:
-                        if ch not in closure:
-                            closure.add(ch)
-                            stack.append(ch)
-                    elif ch == TOP:
-                        top = True
-                    else:
-                        bottom = True
-            elif e[0] == _L:
-                literal = True          # v becomes D(v, tail, BOTTOM)
-            else:
-                nested.extend(e[1])
-        kept = self._reachable_from(nested) if nested else set()
-        kept_top = TOP in kept
-        kept_bottom = BOTTOM in kept
-        kept.discard(TOP)
-        kept.discard(BOTTOM)
-        return _ChainPart(
-            closure, len(kept), kept_top, kept_bottom or bottom or literal,
-            len(closure | kept) if kept else len(closure),
-            top or kept_top, bottom or kept_bottom)
 
     def adopt(self, entries, base: int) -> list:
         """Intern ``entries``, the nodes another store appended after its

@@ -11,6 +11,9 @@ from xcover.solver import (SolveConfig, bfs_components, decompose_matrix,
                            solve)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
+# a longer search for one CI step: pytest --hypothesis-profile=ci
+settings.register_profile("ci", settings.get_profile("suite"),
+                          max_examples=1000)
 settings.load_profile("suite")
 
 # one line per acceptance criterion, printed after the test summary
