@@ -98,13 +98,13 @@ class NodeStore:
 
     def _join_children(self, children):
         """Canonical children of a decomposable node and the mask of
-        their variables: None if a child is BOTTOM, else the sorted
-        non-TOP children with nested decomposables flattened.  Raises
-        ValueError if two children share a variable."""
+        their variables: ``[BOTTOM]`` if a child is BOTTOM, else the
+        sorted non-TOP children with nested decomposables flattened.
+        Raises ValueError if two children share a variable."""
         kept = []
         for ch in children:
             if ch == BOTTOM:
-                return None
+                return [BOTTOM], 0
             if ch == TOP:
                 continue
             if self._entries[ch][0] == _X:
@@ -121,10 +121,7 @@ class NodeStore:
         return kept, vs
 
     def mk_decomposable(self, children) -> NodeId:
-        joined = self._join_children(children)
-        if joined is None:
-            return BOTTOM
-        kept, vs = joined
+        kept, vs = self._join_children(children)
         if len(kept) < 2:
             return kept[0] if kept else TOP
         return self._intern((_X, tuple(kept)), vs)
@@ -158,10 +155,7 @@ class NodeStore:
         copy's positive branch is terminal, and every copy of ``m``
         reaches the tail, so its mask is ``vars[m] | vars[tail]``.
         """
-        joined = self._join_children(children)
-        if joined is None:
-            return BOTTOM
-        kept, vs = joined
+        kept, vs = self._join_children(children)
         if len(kept) < 2:
             return kept[0] if kept else TOP
         entries = self._entries
@@ -882,16 +876,10 @@ def _members(root: _Stream):
     they are drawn.  A product reads its last segment through this
     generator only on the first odometer step, while that stream still
     grows (``_steps``); a finished stream is read from its item list."""
-    items = root.items
     i = 0
-    while True:
-        if i < len(items):
-            yield items[i]
-            i += 1
-        elif root.done:
-            return
-        else:
-            _grow(root)
+    while _fill(root, i):
+        yield root.items[i]
+        i += 1
 
 
 class _Decision(_Stream):

@@ -1,10 +1,12 @@
 """Benchmark instance generation from undirected graphs.
 
-Per connected component of the input graph, the lowest-id vertex is the
-anchor and a seeded sample of ceil(fraction * |component|) vertices are
-the element vertices.  Every simple cycle through the anchor that meets
-at least one element vertex becomes a row covering exactly the element
-vertices it passes through; the columns are all element vertices.
+Per connected component of the input graph, as
+``ComponentSet.partition()`` lists them (by smallest vertex), the
+lowest-id vertex is the anchor and a seeded sample of
+ceil(fraction * |component|) vertices are the element vertices.
+Every simple cycle through the anchor that meets at least one element
+vertex becomes a row covering exactly the element vertices it passes
+through; the columns are all element vertices.
 Cycle enumeration is a depth-first walk from the anchor, deduplicated
 up to rotation (anchoring) and reflection (second vertex < last), and
 truncated by both a maximum cycle length and a maximum cycle count per
@@ -28,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .dynconn import ComponentSet
 from .instance import Instance, ParseError, _digit_fields, _header, _validated
 
 
@@ -95,27 +98,6 @@ def parse_graph(text: str) -> GraphInput:
     return graph
 
 
-def _component_order(adj) -> list:
-    comps = []
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
-
-
 def _anchored_cycles(adj, anchor, max_len, max_cycles) -> list:
     """Simple cycles through ``anchor``, each listed once: anchored at the
     anchor and oriented so the second vertex is below the last.  A
@@ -149,7 +131,7 @@ def generate(g: GraphInput, cfg: GenConfig | None = None) -> Instance:
     adj = g.adjacency()
     elements = []
     rows = []
-    for comp in _component_order(adj):
+    for comp in map(sorted, ComponentSet(range(g.n), g.edges).partition()):
         k = math.ceil(cfg.fraction * len(comp))
         chosen = set(rng.sample(comp, k))
         elements.extend(sorted(chosen))

@@ -57,13 +57,13 @@ class ParseError(ValueError):
 
 
 def _valid_name(name: str) -> bool:
-    # str.split() splits on exactly the characters str.isspace() accepts
-    return name.split() == [name] and ":" not in name and name[0] != "#"
+    return _valid_names((name,))
 
 
 def _valid_names(names) -> bool:
     """Whether every name is valid, checked on all of them at once: joined
     by spaces, valid names split back into themselves."""
+    # str.split() splits on exactly the characters str.isspace() accepts
     joined = " ".join(names)
     return (joined.split() == list(names) and ":" not in joined
             and not joined.startswith("#") and " #" not in joined)

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from xcover.diagram import BOTTOM, TOP, NodeStore
 from xcover.dlx import DlxMatrix
+from xcover.gen import GraphInput
 from xcover.instance import Instance
 from xcover.solver import (SolveConfig, bfs_components, decompose_matrix,
                            solve)
@@ -72,6 +73,20 @@ def row_edges(inst: Instance) -> set:
     ``(r, s)``, r < s, for every two rows that share a column."""
     return {edge for c in range(inst.n_cols)
             for edge in combinations(inst.rows_of_column(c), 2)}
+
+
+def chorded_rings(count, size=9, chords=6, seed=1) -> GraphInput:
+    """Disjoint rings with random chords, as the benchmark's rings
+    workload builds them (12 rings at seed 1 is its graph)."""
+    rng = random.Random(seed)
+    pool = [(a, b) for a in range(size) for b in range(a + 2, size)
+            if (a, b) != (0, size - 1)]
+    edges = []
+    for i in range(count):
+        off = i * size
+        edges.extend((off + a, off + (a + 1) % size) for a in range(size))
+        edges.extend((off + a, off + b) for a, b in rng.sample(pool, chords))
+    return GraphInput(count * size, tuple(edges))
 
 
 def random_instance(rng: random.Random, max_rows=12, max_cols=10,

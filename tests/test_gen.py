@@ -1,4 +1,9 @@
+import hashlib
+import random
+
 import pytest
+
+from conftest import chorded_rings
 
 from xcover.gen import GenConfig, GraphInput, block_diagonal, generate, parse_graph
 from xcover.instance import ParseError, serialize_instance
@@ -156,3 +161,33 @@ def test_block_diagonal(demo):
     assert count_covers(two) == 16
     with pytest.raises(ValueError):
         block_diagonal(demo, 0)
+
+
+GEN_DIGEST = (
+    "350f240f230837f82e7b82caa393a8f756cb2e20559315c5fb020e9fb2aec2c0")
+
+
+def _random_graph(rng: random.Random) -> GraphInput:
+    # sparse enough for isolated vertices and several components
+    n = rng.randrange(0, 13)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = rng.randrange(len(pairs) // 3 + 1)
+    return GraphInput(n, tuple(rng.sample(pairs, m)))
+
+
+def test_generate_keeps_its_digest():
+    # the xc text of seeded random graphs and of the benchmark's rings
+    # graph; a graph of no vertex folds its error
+    rng = random.Random(35)
+    graphs = [GraphInput(0, ()), GraphInput(5, ()), GraphInput(7, ((4, 6),))]
+    graphs += [_random_graph(rng) for _ in range(60)]
+    h = hashlib.sha256()
+    cases = list(enumerate(graphs))
+    cases += [(s, chorded_rings(12)) for s in (1, 7)]
+    for s, g in cases:
+        try:
+            text = serialize_instance(generate(g, GenConfig(seed=s)))
+        except ValueError as err:
+            text = repr(err)
+        h.update(text.encode())
+    assert h.hexdigest() == GEN_DIGEST

@@ -19,7 +19,7 @@ from xcover import solver
 from xcover.diagram import BOTTOM, NodeStore, _bits
 from xcover.dlx import DlxMatrix
 from xcover.dynconn import ComponentSet
-from xcover.gen import GenConfig, GraphInput, block_diagonal, generate
+from xcover.gen import GenConfig, block_diagonal, generate
 from xcover.instance import Instance, serialize_instance
 from xcover.masks import ColumnCounts, MaskTables
 from xcover.oracle import count_covers, enumerate_covers
@@ -27,8 +27,8 @@ from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _Ctx, _search, _worker_count, bfs_components,
                            decompose_matrix, solve)
 
-from conftest import (DEMO_COVERS, dlx_search, pentomino_instance,
-                      random_instance, row_edges)
+from conftest import (DEMO_COVERS, chorded_rings, dlx_search,
+                      pentomino_instance, random_instance, row_edges)
 from test_acceptance import corpus
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
@@ -380,19 +380,6 @@ def test_split_join_components_search_no_components(demo, monkeypatch,
     assert rep.store.enumerate(rep.root) == ref.store.enumerate(ref.root)
 
 
-def _chorded_rings(count, size=9, chords=6, seed=1) -> GraphInput:
-    # disjoint rings with random chords, as the benchmark's rings workload
-    rng = random.Random(seed)
-    pool = [(a, b) for a in range(size) for b in range(a + 2, size)
-            if (a, b) != (0, size - 1)]
-    edges = []
-    for i in range(count):
-        off = i * size
-        edges.extend((off + a, off + (a + 1) % size) for a in range(size))
-        edges.extend((off + a, off + b) for a, b in rng.sample(pool, chords))
-    return GraphInput(count * size, tuple(edges))
-
-
 def test_dyndxd_updates_components_only_on_searched_states(monkeypatch):
     # a state found in the cache must not touch the ComponentSet: at most
     # one deletion batch per searched state
@@ -404,7 +391,7 @@ def test_dyndxd_updates_components_only_on_searched_states(monkeypatch):
         return dec_update(self, *args)
 
     monkeypatch.setattr(ComponentSet, "dec_update", counted)
-    inst = generate(_chorded_rings(2), GenConfig(fraction=0.3, seed=1))
+    inst = generate(chorded_rings(2), GenConfig(fraction=0.3, seed=1))
     rep = run(inst, "dyndxd")
     assert rep.count == count_covers(inst, cap=10 ** 4) == 1490
     assert rep.stats.cache_hits > 0
@@ -417,6 +404,31 @@ def test_block_diagonal_product_counts(demo):
         rep = run(big, engine)
         assert rep.count == 4 ** 10
         assert rep.stats.subs >= 10
+
+
+SEPARATION_ROWS = ([0], [0, 2, 3], [0, 2], [0], [3], [3], [0, 3],
+                   [0, 1, 2, 3], [2, 3], [1])
+
+
+def test_separation_family_shapes():
+    # the paper's claim that decision-ZDNNF is strictly more succinct
+    # than ZBDDs, on k disjoint copies of one 6-cover block: the
+    # decomposable engines grow by a constant per block, the ZBDD at
+    # least doubles
+    rows = [(f"R{i}", r) for i, r in enumerate(SEPARATION_ROWS)]
+    base = Instance.build([f"C{c}" for c in range(4)], rows)
+    nodes = {engine: [] for engine in DIAGRAM_ENGINES}
+    for k in range(1, 11):
+        inst = block_diagonal(base, k)
+        for engine in DIAGRAM_ENGINES:
+            rep = run(inst, engine)
+            assert rep.count == 6 ** k
+            nodes[engine].append(rep.nodes)
+    dxd, dxz = nodes["dxd"], nodes["dxz"]
+    assert nodes["dyndxd"] == dxd
+    assert dxd[1:] == list(range(20, 93, 9))           # k = 2..10
+    assert all(b >= 2 * a for a, b in zip(dxz[1:], dxz[2:]))    # k = 2..9
+    assert dxz[-1] == 9209
 
 
 def test_pentomino_dxd_search_pinned(monkeypatch):
