@@ -2,20 +2,23 @@
 
 Each component keeps a spanning tree, stored as adjacency sets:
 ``tree[v]`` is the set of v's tree neighbours, so a link is two set
-insertions.  Cutting a tree edge searches both of its sides in
-lockstep, one vertex at a time, and stops as soon as one side runs out;
-that side is the smaller one, found in O(its size) however large the
-other side is (Even and Shiloach, "An on-line edge-deletion problem",
-JACM 1981).  Which vertex lies in which component is answered by a
-dictionary, never by the forest.
+insertions, and a vertex gets its entry on its first link.  Cutting a
+tree edge searches both of its sides in lockstep, one vertex at a time,
+and stops as soon as one side runs out; that side is the smaller one,
+found in O(its size) however large the other side is (Even and
+Shiloach, "An on-line edge-deletion problem", JACM 1981).  The forest
+holds tree edges only.
 
-ComponentSet layers component bookkeeping on top: each component is its
-spanning tree plus the hash set of its non-tree edges.  Batched edge
-and vertex deletion (dec_update) drops the batch's non-tree edges, then
-cuts its tree edges and scans the smaller side's non-tree candidates for
-a replacement, splitting the component when none crosses; batched
-insertion (inc_update) links across components and files
-intra-component edges as non-tree.  Construction is one insert batch.
+ComponentSet layers component bookkeeping on top, and its vertex index
+is the one registry of live vertices: which vertices are live, and
+which vertex lies in which component, is answered there, never by the
+forest.  Each component is its spanning tree plus the hash set of its
+non-tree edges.  Batched edge and vertex deletion (dec_update) drops the
+batch's non-tree edges, then cuts its tree edges and scans the smaller
+side's non-tree candidates for a replacement, splitting the component
+when none crosses; batched insertion (inc_update) links across
+components and files intra-component edges as non-tree.  Construction
+is one insert batch.
 """
 
 from __future__ import annotations
@@ -49,21 +52,11 @@ def _walk(tree, start, seen):
 
 class SpanningForest:
     """Spanning trees stored as adjacency sets: ``tree[v]`` is the set of
-    v's tree neighbours."""
+    v's tree neighbours.  A vertex has an entry from its first link on; a
+    vertex without one is alone in its tree."""
 
     def __init__(self):
         self.tree = {}
-
-    def add_vertex(self, v):
-        if v in self.tree:
-            raise DynConnError(f"vertex {v} already present")
-        self.tree[v] = set()
-
-    def remove_vertex(self, v):
-        """Remove an isolated vertex."""
-        if self.tree[v]:
-            raise DynConnError(f"vertex {v} still has tree edges")
-        del self.tree[v]
 
     def tree_edge(self, u, v) -> bool:
         return v in self.tree.get(u, ())
@@ -71,8 +64,8 @@ class SpanningForest:
     def link(self, u, v):
         """Join two trees by a new tree edge {u,v}.  The caller has
         checked that u and v lie in different trees."""
-        self.tree[u].add(v)
-        self.tree[v].add(u)
+        self.tree.setdefault(u, set()).add(v)
+        self.tree.setdefault(v, set()).add(u)
 
     def cut(self, u, v) -> set:
         """Delete tree edge {u,v}; returns the vertex set of the smaller
@@ -103,7 +96,7 @@ class SpanningForest:
         todo = [v]
         while todo:
             x = todo.pop()
-            for w in tree[x]:
+            for w in tree.get(x, ()):
                 if x not in tree.get(w, ()):
                     raise AssertionError(f"tree edge {x}-{w} one-sided")
                 if w == parent[x]:
@@ -129,9 +122,6 @@ class Component:
     def __init__(self, vertices, non_tree):
         self.vertices = vertices
         self.non_tree = non_tree
-
-    def __repr__(self):
-        return f"Component({sorted(self.vertices)!r}, non_tree={sorted(self.non_tree)!r})"
 
 
 class ComponentSet:
@@ -216,12 +206,9 @@ class ComponentSet:
                 for w in side:
                     self._comp_of[w] = split
         for v in sorted(removed_vertices):
-            comp = self._comp_of.get(v)
-            if comp is None:
-                raise DynConnError(f"unknown vertex {v}")
-            if len(comp.vertices) != 1:
+            if len(self.find_cc(v).vertices) != 1:
                 raise DynConnError(f"vertex {v} still has live edges")
-            self.forest.remove_vertex(v)
+            self.forest.tree.pop(v, None)
             del self._comp_of[v]
 
     def inc_update(self, added_vertices, added_edges, check=None):
@@ -235,7 +222,6 @@ class ComponentSet:
         for v in sorted(added_vertices):
             if v in self._comp_of:
                 raise DynConnError(f"vertex {v} already present")
-            self.forest.add_vertex(v)
             self._comp_of[v] = Component({v}, set())
         for e in sorted({_edge(a, b) for a, b in added_edges}):
             a, b = e
@@ -287,5 +273,5 @@ class ComponentSet:
         if seen != set(self._comp_of):
             raise AssertionError("vertex index out of sync")
         # each component's check read every tree edge at its vertices
-        if seen != set(self.forest.tree):
-            raise AssertionError("forest vertices out of sync")
+        if any(ws and v not in seen for v, ws in self.forest.tree.items()):
+            raise AssertionError("tree edge at a vertex that is not live")

@@ -62,9 +62,13 @@ def _valid_name(name: str) -> bool:
 
 def _valid_names(names) -> bool:
     """Whether every name is valid, checked on all of them at once: joined
-    by spaces, valid names split back into themselves."""
+    by spaces, valid names split back into themselves.  A name that is
+    not a ``str`` is not valid."""
     # str.split() splits on exactly the characters str.isspace() accepts
-    joined = " ".join(names)
+    try:
+        joined = " ".join(names)
+    except TypeError:
+        return False
     return (joined.split() == list(names) and ":" not in joined
             and not joined.startswith("#") and " #" not in joined)
 

@@ -64,10 +64,10 @@ What each engine adds:
                separately, in order of their smallest row, and joins
                them.  A state reached by a row is tested for an empty
                column before any flood fill; a live state that does not
-               split branches on the column already chosen.  A root or
-               a join's component, reached by no row, runs the flood
-               fill first; a join's component is connected by
-               construction and runs none.
+               split branches on the column already chosen.  A root,
+               reached by no row, runs the flood fill before it chooses
+               a column.  A join's component, also reached by no row, is
+               connected by construction and runs none.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -666,8 +666,10 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
     else:
         store = NodeStore()
         split = cfg.threads > 1 and hasattr(os, "fork")
-        ctx = _Ctx(cfg.engine, store, {}, stats, split, deadline, cfg)
-        root = _solve_root(inst, ctx)
+        # no name holds the context, so its cache, masks, counts and
+        # ComponentSet are freed before the post-passes run
+        root = _solve_root(inst, _Ctx(cfg.engine, store, {}, stats, split,
+                                      deadline, cfg))
         reach = store.reachable(root)   # one walk for count and nodes
         report = SolveReport(engine=cfg.engine, threads=cfg.threads,
                              count=store.count(root, reach), root=root,

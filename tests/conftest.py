@@ -283,6 +283,73 @@ def pentomino_instance(height=3, width=20) -> Instance:
     return Instance.build(columns, rows)
 
 
+# Sparse families whose covers are counted without any engine.
+
+def _domino_instance(cells) -> Instance:
+    """One column per cell of ``cells`` (pairs ``(r, c)``, r and c >= 0)
+    and one row per domino on two of them, across then down."""
+    cells = sorted(cells)
+    index = {cell: i for i, cell in enumerate(cells)}
+    rows = []
+    for r, c in cells:
+        for kind, other in (("h", (r, c + 1)), ("v", (r + 1, c))):
+            if other in index:
+                rows.append((f"{kind}{r}_{c}", [index[r, c], index[other]]))
+    return Instance.build([f"r{r}c{c}" for r, c in cells], rows)
+
+
+def dominoes(m, n) -> Instance:
+    """Domino tilings of the m x n rectangle."""
+    return _domino_instance([(r, c) for r in range(m) for c in range(n)])
+
+
+def domino_count(m, n) -> int:
+    """The domino tilings of the m x n rectangle, by a transfer matrix
+    over column profiles: bit i of a profile is the cell in row i of the
+    next column, covered already by a domino across from this one
+    (Kasteleyn, Physica 1961; Temperley and Fisher, Phil. Mag. 1961)."""
+    def fill(i, profile, nxt):
+        # the profiles of the next column once this one is filled
+        if i == m:
+            yield nxt
+        elif profile >> i & 1:
+            yield from fill(i + 1, profile, nxt)
+        else:
+            yield from fill(i + 1, profile, nxt | 1 << i)
+            if i + 1 < m and not profile >> (i + 1) & 1:
+                yield from fill(i + 2, profile, nxt)
+    ways = {0: 1}
+    for _ in range(n):
+        grown = {}
+        for profile, w in ways.items():
+            for nxt in fill(0, profile, 0):
+                grown[nxt] = grown.get(nxt, 0) + w
+        ways = grown
+    return ways.get(0, 0)
+
+
+def aztec(n) -> Instance:
+    """Domino tilings of the Aztec diamond of order n: the cells (r, c)
+    of a 2n x 2n square whose centres lie within 1-norm n of its centre.
+    It has 2^(n(n+1)/2) of them (Elkies, Kuperberg, Larsen and Propp,
+    J. Algebraic Combin. 1992)."""
+    cells = [(r, c) for r in range(2 * n) for c in range(2 * n)
+             if abs(2 * r + 1 - 2 * n) + abs(2 * c + 1 - 2 * n) <= 2 * n]
+    return _domino_instance(cells)
+
+
+def langford(n) -> Instance:
+    """Langford pairs of order n: columns for the values 1..n and the
+    positions 1..2n; a row puts both copies of value k at positions i and
+    i + k + 1.  Its covers are the Langford sequences, each reversal
+    counted apart: twice OEIS A014552, none when n = 1 or 2 (mod 4)
+    (Knuth, TAOCP Vol. 4B, 7.2.2.1)."""
+    rows = [(f"k{k}i{i}", [k - 1, n + i - 1, n + i + k])
+            for k in range(1, n + 1) for i in range(1, 2 * n - k)]
+    return Instance.build([f"v{k}" for k in range(1, n + 1)]
+                          + [f"p{i}" for i in range(1, 2 * n + 1)], rows)
+
+
 @pytest.fixture(scope="session")
 def pentomino_dxz():
     """dxz's report on pentomino 3x20, solved once per session."""

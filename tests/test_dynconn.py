@@ -7,8 +7,6 @@ from xcover.dynconn import ComponentSet, DynConnError, SpanningForest, _edge
 
 def path_forest(ids):
     f = SpanningForest()
-    for v in ids:
-        f.add_vertex(v)
     for a, b in zip(ids, ids[1:]):
         f.link(a, b)
     return f
@@ -22,21 +20,21 @@ def test_edge_normalization():
 
 
 def test_isolated_vertex():
+    # a vertex never linked has no entry, and reading it adds none
     f = SpanningForest()
-    f.add_vertex(7)
-    assert f.tree == {7: set()}
     assert f.check_tree(7) == ({7}, set())
-    f.remove_vertex(7)
+    assert not f.tree_edge(7, 8)
     assert f.tree == {}
+    f.link(7, 8)
+    assert f.cut(7, 8) == {7}
+    assert f.tree == {7: set(), 8: set()}
+    assert f.check_tree(7) == ({7}, set())
 
 
 def test_link_cut_round_trip():
     f = path_forest([0, 1, 2])
-    for v in (10, 11, 12):
-        f.add_vertex(v)
     f.link(10, 11)
     f.link(11, 12)
-    f.add_vertex(20)
     f.link(12, 20)
     f.link(2, 10)
     assert f.tree_edge(10, 2) and not f.tree_edge(0, 2)
@@ -58,10 +56,6 @@ def test_link_cut_round_trip():
 
 def test_forest_error_contracts():
     f = path_forest([0, 1, 2])
-    with pytest.raises(DynConnError):
-        f.add_vertex(1)
-    with pytest.raises(DynConnError):
-        f.remove_vertex(1)  # not isolated
     with pytest.raises(DynConnError):
         f.cut(0, 2)  # not a tree edge
     with pytest.raises(DynConnError):
@@ -125,8 +119,6 @@ def test_forest_random_link_cut_stress():
     rng = random.Random(2024)
     n = 30
     f = SpanningForest()
-    for v in range(n):
-        f.add_vertex(v)
     tree_edges = set()
     want = _bfs_partition(range(n), tree_edges)
     ties = 0
@@ -244,7 +236,7 @@ def test_dec_update_vertices():
     cs = ComponentSet(PATH_CHORD_VS, PATH_CHORD_ES)
     cs.dec_update([5], [(4, 5)])
     assert cs.partition() == [{1, 2, 3, 4}]
-    assert 5 not in cs
+    assert 5 not in cs and 5 not in cs.forest.tree
     cs.validate()
     with pytest.raises(DynConnError):
         cs.dec_update([4], ())  # not isolated
@@ -252,6 +244,14 @@ def test_dec_update_vertices():
         cs.dec_update((), [(4, 5)])  # edge no longer live
     with pytest.raises(DynConnError):
         cs.dec_update([9], ())
+
+
+@pytest.mark.parametrize("edge", [(8, 9), (1, 9)])
+def test_validate_catches_a_tree_edge_at_a_dead_vertex(edge):
+    cs = ComponentSet(PATH_CHORD_VS, PATH_CHORD_ES)
+    cs.forest.link(*edge)   # 9, and 8, were never live
+    with pytest.raises(AssertionError):
+        cs.validate()
 
 
 def test_inc_update():

@@ -171,6 +171,10 @@ def test_construction_rejects_empty_universe():
     (("a", "b"), (("R", (0, 2)),), "row 'R' references a column out of range"),
     (("a", "b"), (("R", (1, 0)),), "row 'R' columns not strictly increasing"),
     (("a", "b"), (("R", (1, 1)),), "row 'R' columns not strictly increasing"),
+    # a name that is not a str
+    ((5,), (("r", (0,)),), "bad column name 5"),
+    (("a", "b"), ((5, (0,)),), "bad row name 5"),
+    (("a", "b"), (("R", (0,)), (None, (1,))), "bad row name None"),
 ])
 def test_construction_error_messages(columns, rows, message):
     with pytest.raises(ValueError) as err:

@@ -27,8 +27,9 @@ from xcover.solver import (ENGINES, SolveConfig, SolveStats, SolveTimeout,
                            _Ctx, _search, _worker_count, bfs_components,
                            decompose_matrix, solve)
 
-from conftest import (DEMO_COVERS, chorded_rings, dlx_search,
-                      pentomino_instance, random_instance, row_edges)
+from conftest import (DEMO_COVERS, aztec, chorded_rings, dlx_search,
+                      domino_count, dominoes, langford, pentomino_instance,
+                      random_instance, row_edges)
 from test_acceptance import corpus
 
 DIAGRAM_ENGINES = ("dxz", "dxd", "dyndxd")
@@ -431,6 +432,21 @@ def test_separation_family_shapes():
     assert dxz[-1] == 9209
 
 
+def test_sparse_families_match_their_closed_forms():
+    # connected instances whose covers are counted without any engine:
+    # every board up to 6x8 by its transfer matrix, Aztec diamonds and
+    # Langford pairs (n = 5 and 6 have none, found by a real search)
+    assert domino_count(8, 8) == 12988816
+    cases = [(dominoes(m, n), domino_count(m, n))
+             for m in range(1, 7) for n in range(1, 9)]
+    cases += [(aztec(n), 2 ** (n * (n + 1) // 2)) for n in range(1, 6)]
+    cases += [(langford(n), want)
+              for n, want in zip(range(3, 9), (2, 2, 0, 0, 52, 300))]
+    for inst, want in cases:
+        for engine in DIAGRAM_ENGINES:
+            assert run(inst, engine).count == want
+
+
 def test_pentomino_dxd_search_pinned(monkeypatch):
     # of the 18,602 states that dxd reaches, 12,394 are dead ends: they
     # end in their parent, uncached, and only the 5,304 live misses are
@@ -645,6 +661,27 @@ def test_solve_walks_its_diagram_once(demo, monkeypatch, engine):
     rep = run(block_diagonal(demo, 3), engine)
     assert log == ["walk"]
     assert (rep.count, rep.nodes) == (4 ** 3, rep.store.node_count(rep.root))
+
+
+@pytest.mark.parametrize("engine", DIAGRAM_ENGINES)
+def test_search_is_freed_before_the_post_passes(demo, monkeypatch, engine):
+    # the search's context (its cache, masks, dxz's counts and dyndxd's
+    # ComponentSet) is garbage once the root's node is built, so none is
+    # live while the diagram is counted
+    def live_contexts():
+        return sum(isinstance(o, _Ctx) for o in gc.get_objects())
+
+    gc.collect()
+    before, live = live_contexts(), []
+    count = NodeStore.count
+
+    def counted(self, *args):
+        live.append(live_contexts())
+        return count(self, *args)
+
+    monkeypatch.setattr(NodeStore, "count", counted)
+    assert run(block_diagonal(demo, 3), engine).count == 4 ** 3
+    assert live == [before]
 
 
 def masks_agree_with_dlx(inst):
