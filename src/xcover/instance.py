@@ -107,7 +107,11 @@ class Instance:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("instance needs at least one column")
-        if len(set(self.columns)) != len(self.columns):
+        try:
+            repeats = len(set(self.columns)) != len(self.columns)
+        except TypeError:       # an unhashable name, a bad name below
+            repeats = False
+        if repeats:
             for c, name in enumerate(self.columns):
                 if self.columns.index(name) != c:   # its first repeat
                     raise ValueError(f"duplicate column name {name!r}")

@@ -41,8 +41,15 @@ the chosen row can have changed them.  Which engine chooses its column
 which way, and the rules for dead ends and literals, are stated once, in
 the module docstring of ``xcover.solver``.
 
-``ColumnCounts.span`` is built row by row, one OR per cell, from the
-``(row, columns)`` pairs that ``MaskTables`` keeps as ``cells``.
+``MaskTables.span`` gives ``span[c]``, the columns of column c's rows,
+built row by row, one OR per cell, from the ``(row, columns)`` pairs
+that ``MaskTables`` keeps as ``cells``.  It is the column graph: two
+columns are linked when some row holds both.  The tables do not keep
+it: ``ColumnCounts`` keeps its own, and ``root_parts`` uses one only
+while it runs.  At a root, where every row is live, that graph is exact
+and far smaller than the row graph, so a root's parts come from one
+flood fill over its columns; a state reached by a row has lost rows,
+so its components come from ``components``, over the live rows.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class MaskTables:
     def __init__(self, n_cols: int, rows):
         """``rows`` yields ``(row_id, column_ids)`` pairs; every column id
         is below ``n_cols``.  Rows that are not given stay empty.  The
-        pairs are kept, as ``cells``, for ``ColumnCounts``."""
+        pairs are kept, as ``cells``, for ``span``."""
         self.cells = rows = list(rows)
         n_rows = max((r for r, _ in rows), default=-1) + 1
         col_rows = [0] * n_cols
@@ -141,6 +148,55 @@ class MaskTables:
             rows = unseen
         return comps
 
+    def root_parts(self, cols: int, rows: int):
+        """The parts of a root ``(cols, rows)``: its row components, each
+        as the pair ``(columns, rows)``, ordered by smallest row as
+        ``components`` orders them; None when a column of ``cols`` has
+        no row.  Each part is one flood fill over the column graph
+        (``span``) from the columns of the lowest row not yet placed,
+        collecting the rows of each column it reaches.  The state must
+        hold every row of the tables (else ``ValueError``): only then is
+        the column graph that of the live rows."""
+        if rows.bit_count() != len(self.cells) or rows >> len(self.row_cols):
+            raise ValueError("root_parts needs every row of the tables")
+        col_rows, row_cols = self.col_rows, self.row_cols
+        span = self.span()
+        parts = []
+        unseen = cols
+        while rows:
+            todo = row_cols[(rows & -rows).bit_length() - 1]
+            # part grows by OR, not as a difference of unseen masks: an
+            # XOR keeps the width of its operands, and part lives on as
+            # a cache key
+            part = todo
+            unseen ^= todo
+            got = 0
+            while todo:
+                c = todo.bit_length() - 1
+                todo ^= 1 << c
+                got |= col_rows[c]
+                grow = span[c] & unseen
+                if grow:
+                    unseen ^= grow
+                    todo |= grow
+                    part |= grow
+            rows ^= got
+            if rows & got or not got:   # a row not in rows, or of no column
+                raise ValueError("root_parts needs every row of the tables")
+            parts.append((part, got))
+        return None if unseen else parts
+
+    def span(self) -> list:
+        """``span[c]``, the columns of the rows of column c, for every
+        column: one OR per cell."""
+        row_cols = self.row_cols
+        span = [0] * len(self.col_rows)
+        for r, cs in self.cells:
+            m = row_cols[r]
+            for c in cs:
+                span[c] |= m
+        return span
+
     def columns_of(self, rows: int) -> int:
         """The columns of the rows in ``rows``."""
         row_cols = self.row_cols
@@ -183,17 +239,11 @@ class ColumnCounts:
         bucket = [0] * (max(size, default=0) + 1)
         for c, n in enumerate(size):
             bucket[n] |= 1 << c
-        row_cols = tables.row_cols
-        span = [0] * len(col_rows)
-        for r, cs in tables.cells:
-            m = row_cols[r]
-            for c in cs:
-                span[c] |= m
         self.col_rows = col_rows
-        self.row_cols = row_cols
+        self.row_cols = tables.row_cols
         self.size = size
         self.bucket = bucket
-        self.span = span
+        self.span = tables.span()
 
     def reach(self, r: int) -> int:
         """The columns of the rows in ``conflict[r]``: the only columns

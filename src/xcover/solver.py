@@ -59,15 +59,18 @@ What each engine adds:
                comes from ``select_column``, whose scan also finds a dead
                end's empty column.  When the live rows fall into >= 2
                connected components of the primal graph (rows adjacent
-               iff they share a column, found by a flood fill over
-               per-row conflict masks), it solves the components
+               iff they share a column), it solves the components
                separately, in order of their smallest row, and joins
                them.  A state reached by a row is tested for an empty
-               column before any flood fill; a live state that does not
+               column before its flood fill over per-row conflict masks
+               (``MaskTables.components``); a live state that does not
                split branches on the column already chosen.  A root,
-               reached by no row, runs the flood fill before it chooses
-               a column.  A join's component, also reached by no row, is
-               connected by construction and runs none.
+               reached by no row, holds every row, so its parts, rows
+               and columns, come from one flood fill over the column
+               graph (``MaskTables.root_parts``), which also finds a
+               column without rows, before it chooses a column.  A
+               join's component, also reached by no row, is connected
+               by construction and runs no fill.
                The join is a decomposable node unless the ZBDD chain of
                the components (each one's TOP replaced by the next
                component, see ``NodeStore.mk_join``) has strictly fewer
@@ -84,8 +87,10 @@ What each engine adds:
                incident edges, each given once), and come back in one
                batch once the state's node is built.  The solve
                keeps one ComponentSet, and a join and its components
-               are searched against it: a join reads its components
-               with ``find_cc``.
+               are searched against it: a state reached by a row reads
+               its components with ``find_cc``.  A root takes its parts
+               from ``root_parts``, as dxd does: its ComponentSet holds
+               every row then, so the two agree.
 
 ``solve`` is the one entry point; ``oracle`` is accepted as a fourth
 engine name and dispatches to the brute-force enumerator for
@@ -296,7 +301,9 @@ def _search(m: DlxMatrix, ctx: _Ctx) -> int:
     carries a ``cs`` over exactly those rows and the edges between them
     that ``MaskTables.conflict`` gives: rows that share a column."""
     live = m.live_row_ids()
-    if ctx.cs is not None and len(ctx.cs) != len(live):
+    cs = ctx.cs
+    if cs is not None and (len(cs) != len(live)
+                           or not all(r in cs for r in live)):
         raise AssertionError("component structure out of sync with search")
     return _mask_root(MaskTables(m.live_col_mask.bit_length(),
                                  ((r, m.row_columns(r)) for r in live)),
@@ -332,9 +339,13 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     before each cut and link of their batch.  ``undo`` is dxz's
     ``ColumnCounts`` log, or the rows and edges that dyndxd's row choice
     removed from ``ctx.cs``; the components of a join are searched
-    against the same set, and each leaves it as it found it.  A join's
-    component is connected by construction, so its state runs no flood
-    fill and no ``find_cc`` walk.
+    against the same set, and each leaves it as it found it.  A root
+    (no ``via`` and not ``joined``) holds every row: dxd and dyndxd take
+    its parts from one ``MaskTables.root_parts`` fill over the column
+    graph, which gives None for a column without rows, and the root is
+    then BOTTOM.  A state reached by a row runs dxd's flood fill or
+    dyndxd's batch and ``find_cc`` walk.  A join's component is
+    connected by construction, so its state runs no component search.
     A state reached by row ``via`` is a dead end when a live column has
     no live row.  It is found by the memo's two columns for ``via``,
     tested before the cache, or else by the chosen column, which then
@@ -404,14 +415,22 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                     if uncounted < 0:
                         uncounted = len(stack)
                 elif joined:
-                    pass        # a join's component is connected already
+                    # a join's component is connected already
+                    todo = col_rows[t.select_column(cols, rows)] & rows
+                elif via is None:
+                    # a root holds every row: its parts come from one fill
+                    # over the column graph; None (a column of no row)
+                    # leaves todo empty, and the root BOTTOM
+                    parts = t.root_parts(cols, rows)
+                    if parts is not None and len(parts) < 2:
+                        parts = None
+                        todo = col_rows[t.select_column(cols, rows)] & rows
                 elif cs is None:
                     comps = t.components(rows)
                 else:
-                    if via is not None:
-                        gone = [r for r in _bits(conflict[via]) if r in cs]
-                        undo = gone, _removed_edges(gone, conflict, cs)
-                        cs.dec_update(*undo, check)
+                    gone = [r for r in _bits(conflict[via]) if r in cs]
+                    undo = gone, _removed_edges(gone, conflict, cs)
+                    cs.dec_update(*undo, check)
                     comps = []
                     left = rows
                     while left:
@@ -424,14 +443,9 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
                         left ^= m
                 if len(comps) >= 2:
                     parts = [(t.columns_of(m), m) for m in comps]
-                    covered = sum(c.bit_count() for c, _ in parts)
-                    if covered == cols.bit_count():
-                        stats.subs += len(comps)
-                        todo = (1 << len(parts)) - 1
-                    else:
-                        parts = None    # a root's column interacts no row
-                elif via is None:
-                    todo = col_rows[t.select_column(cols, rows)] & rows
+                if parts is not None:
+                    stats.subs += len(parts)
+                    todo = (1 << len(parts)) - 1
             if dead:
                 # BOTTOM for the parent, with no frame and no cache entry;
                 # c goes first in via's memo

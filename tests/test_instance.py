@@ -175,6 +175,8 @@ def test_construction_rejects_empty_universe():
     ((5,), (("r", (0,)),), "bad column name 5"),
     (("a", "b"), ((5, (0,)),), "bad row name 5"),
     (("a", "b"), (("R", (0,)), (None, (1,))), "bad row name None"),
+    # an unhashable column name is a bad name too
+    ((["a"],), (("r", (0,)),), "bad column name ['a']"),
 ])
 def test_construction_error_messages(columns, rows, message):
     with pytest.raises(ValueError) as err:

@@ -68,6 +68,56 @@ def test_masks_agree_with_dlx_at_random_live_states(seed):
             assert t.select_column(cols, rows) == m.select_column()
 
 
+@given(st.integers(0, 10 ** 6))
+def test_root_parts_agree_with_dlx_at_the_all_rows_state(seed):
+    # at the state that holds every row, one fill over the column graph
+    # gives bfs_components' parts, each with its exact columns, in order
+    # of smallest row; a column that no row holds gives None.  A
+    # block-diagonal instance has its rows shuffled, so the part that
+    # holds row 0 need not hold column 0
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_rows=14, max_cols=10)
+    if rng.random() < 0.5:
+        inst = block_diagonal(inst, rng.randint(2, 3))
+        rows = list(inst.rows)
+        rng.shuffle(rows)
+        inst = Instance(inst.columns, tuple(rows))
+    t = MaskTables.from_instance(inst)
+    assert t.span() == [t.columns_of(m) for m in t.col_rows]
+    m = next(live_states(inst, rng))
+    cols = m.live_col_mask
+    rows = sum(1 << r for r in m.live_row_ids())
+    parts = t.root_parts(cols, rows)
+    if not all(t.col_rows):
+        assert parts is None
+    else:
+        assert [bits(r) for _, r in parts] == bfs_components(m)
+        for c, r in parts:
+            assert bits(c) == sorted(
+                {c for r in bits(r) for c in m.row_columns(r)})
+    # one more column, which no row holds
+    wider = Instance(inst.columns + ("extra",), inst.rows)
+    t = MaskTables.from_instance(wider)
+    assert t.root_parts((1 << wider.n_cols) - 1, rows) is None
+
+
+def test_root_parts_follow_the_smallest_row(demo):
+    # demo's second block listed first: the part of row 0 holds columns
+    # 4 and 5, and comes first
+    flipped = Instance(demo.columns, demo.rows[3:] + demo.rows[:3])
+    t = MaskTables.from_instance(flipped)
+    assert [(bits(c), bits(r)) for c, r in t.root_parts(0b111111, 0b111111)] \
+        == [([4, 5], [0, 1, 2]), ([0, 1, 2, 3], [3, 4, 5])]
+    # a state without every row of the tables is refused, also one of
+    # as many rows, with row 6 (not in the tables) in place of row 5
+    for rows in (0b011111, 0b1011111):
+        with pytest.raises(ValueError):
+            t.root_parts(0b111111, rows)
+    # row 2 in place of row 1, in a part of its own: no part reaches row 1
+    with pytest.raises(ValueError):
+        MaskTables(2, [(0, [0]), (1, [1])]).root_parts(0b11, 0b101)
+
+
 @st.composite
 def wide_states(draw):
     """A table of up to about 3,000 columns with a few live ones: often

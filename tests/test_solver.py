@@ -131,28 +131,39 @@ def test_dead_state_ends_before_its_components(monkeypatch):
                           [(f"R{i}", r) for i, r in enumerate(DEAD_END_ROWS)])
     fills, batches = [], []
     components = MaskTables.components
+    root_parts = MaskTables.root_parts
     dec_update = ComponentSet.dec_update
 
     def fill(self, rows):
         fills.append(sorted(_bits(rows)))
         return components(self, rows)
 
+    def root_fill(self, cols, rows):
+        fills.append(sorted(_bits(rows)))
+        return root_parts(self, cols, rows)
+
     def batch(self, gone, edges, check=None):
         batches.append(sorted(gone))
         return dec_update(self, gone, edges, check)
 
     monkeypatch.setattr(MaskTables, "components", fill)
+    monkeypatch.setattr(MaskTables, "root_parts", root_fill)
     monkeypatch.setattr(ComponentSet, "dec_update", batch)
     store, root, traffic = dlx_search(inst, decompose=True)
     assert traffic[0] == 0 and traffic[3] == 1  # no join; one dead end
+    searches = {}
     for engine in ("dxd", "dyndxd"):
+        fills.clear()
+        batches.clear()
         rep = run(inst, engine)
         assert rep.count == 1
         assert rep.store.dump(rep.root) == store.dump(root)
         assert traffic_of(rep) == traffic
-    # dxd fills the root and R5's child; dyndxd removes R5's conflicts
-    assert fills == [[0, 1, 2, 3, 4, 5], [1, 2, 4]]
-    assert batches == [[0, 3, 5]]
+        searches[engine] = list(fills), list(batches)
+    # dxd fills the root and R5's child; dyndxd fills the root and
+    # removes R5's conflicts
+    assert searches["dxd"] == ([[0, 1, 2, 3, 4, 5], [1, 2, 4]], [])
+    assert searches["dyndxd"] == ([[0, 1, 2, 3, 4, 5]], [[0, 3, 5]])
 
 
 def test_bfs_components(demo):
@@ -327,6 +338,13 @@ def test_dyn_components_check_sync_with_matrix(demo):
                SolveConfig(engine="dyndxd"), cs)
     with pytest.raises(AssertionError):
         _search(DlxMatrix.from_instance(demo), ctx)
+    # as many rows as the matrix, but row 6 in place of row 5
+    cs = ComponentSet([0, 1, 2, 3, 4, 6],
+                      [e for e in row_edges(demo) if 5 not in e])
+    ctx = _Ctx("dyndxd", NodeStore(), {}, SolveStats(), None, None,
+               SolveConfig(engine="dyndxd"), cs)
+    with pytest.raises(AssertionError):
+        _search(DlxMatrix.from_instance(demo), ctx)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -355,25 +373,20 @@ def test_dyndxd_builds_one_component_set(demo, monkeypatch, threads):
 def test_split_join_components_search_no_components(demo, monkeypatch,
                                                     engine, cls, name):
     # a component of the root's join is connected by construction, in the
-    # root split as in the loop: the solving process searches for
-    # components only at the root, as with threads=1 (a worker's calls
-    # are not counted here)
-    calls = []
-    search = getattr(cls, name)
-
-    def counted(self, arg):
-        calls.append(arg)
-        return search(self, arg)
-
-    monkeypatch.setattr(cls, name, counted)
+    # root split as in the loop: the solving process finds the root's
+    # parts with one root_parts call and never runs the engine's own
+    # component search, as with threads=1 (a worker's calls are not
+    # counted here)
+    log = []
+    log_calls(monkeypatch, log, (cls, name, "search"),
+              (MaskTables, "root_parts", "root"))
     big = block_diagonal(demo, 3)
     ref = run(big, engine)
-    at_root = list(calls)
-    calls.clear()
+    assert log == ["root"]
+    log.clear()
     monkeypatch.setattr(solver, "_SPAWN_ROWS", 1)
     rep = run(big, engine, threads=2)
-    assert rep.stats.spawned > 0 and calls == at_root
-    assert len(at_root) == (1 if engine == "dxd" else 6)     # 6 components
+    assert rep.stats.spawned > 0 and log == ["root"]
     assert traffic_of(rep) == traffic_of(ref)
     # node ids follow the order the processes intern in, so the diagrams
     # are compared by size and covers, not by dump
@@ -464,19 +477,21 @@ def test_pentomino_dxd_search_pinned(monkeypatch):
     assert log.count("fill") <= 5400
 
 
-@pytest.mark.parametrize("engine, walk, calls", [
-    ("dxd", (MaskTables, "components"), 1),
-    ("dyndxd", (ComponentSet, "find_cc"), 800)])
+@pytest.mark.parametrize("engine", ["dxd", "dyndxd"])
 def test_ladder_join_components_run_no_component_search(
-        demo, monkeypatch, engine, walk, calls):
+        demo, monkeypatch, engine):
     # block_diagonal(demo, 400) splits at the root into 800 components,
-    # each connected by construction: dxd fills the root only, and dyndxd
-    # walks find_cc once per root component, never inside one
+    # each connected by construction: one root_parts call finds them all
+    # with their columns, and no state runs a component search or reads
+    # its columns
     log = []
-    log_calls(monkeypatch, log, (*walk, "walk"))
+    log_calls(monkeypatch, log, (MaskTables, "root_parts", "root"),
+              (MaskTables, "components", "fill"),
+              (ComponentSet, "find_cc", "walk"),
+              (MaskTables, "columns_of", "columns"))
     rep = run(block_diagonal(demo, 400), engine)
     assert rep.count == 4 ** 400 and rep.stats.subs == 800
-    assert log.count("walk") == calls
+    assert log == ["root"]
 
 
 def test_pentomino_dxz_search_pinned(pentomino_dxz):
