@@ -548,7 +548,7 @@ def load_dump(text: str):
                     args[0], id_map[args[1]], id_map[args[2]])
             else:
                 new = BOTTOM if kind == _B else TOP
-        except (KeyError, ValueError) as err:
+        except (KeyError, OverflowError, ValueError) as err:
             raise ValueError(f"bad dump line: {raw!r}") from err
         id_map[old] = new
         root = new

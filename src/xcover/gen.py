@@ -55,12 +55,13 @@ class GraphInput:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     def adjacency(self) -> dict:
+        """Each vertex's neighbours in ascending order, as the sorted
+        edges ``(u, v)``, ``u < v``, give them: a vertex's smaller
+        neighbours all come before its larger ones."""
         adj = {v: [] for v in range(self.n)}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
         return adj
 
 

@@ -30,8 +30,9 @@ reference; no engine calls them.  The rules:
   parent receives BOTTOM, as dancing links backtracks on an empty
   column.  The two columns that last starved a child of the same row
   (``MaskTables.starver``) are tested first, before the cache lookup,
-  which could only miss; then the column choice finds the rest.  A dead
-  end runs no component search.
+  which could only miss; then the column choice finds the rest, and
+  ``_mask_search`` ends such a state at its one dead-end exit, right
+  after the column step.  A dead end runs no component search.
 * **Literals.**  A state with one live row that covers every live
   column is that row's literal: a cached miss with no frame and no
   column choice, whose node goes straight to its parent.
@@ -101,8 +102,9 @@ are dealt round-robin to the solve's process and to forked worker
 processes.  A worker runs the same loop on its children from its copy of
 the root state, with a cache and counters of its own, and sends back
 their nodes, the nodes it interned and its counters; the parent interns
-those (``NodeStore.adopt``) and builds the root's node as the loop
-would.  Without ``os.fork`` the solve runs inline.
+those (``NodeStore.adopt``) and puts the children's nodes in the root's
+frame, whose node the loop then builds as it builds every other.
+Without ``os.fork`` the solve runs inline.
 """
 
 from __future__ import annotations
@@ -178,9 +180,9 @@ class _Ctx:
       for a column without rows.
     * ``stats``: the ``SolveStats`` the search counts into.
     * ``pool``: true while the root may still split over worker
-      processes (``_split_root``).  False once the root's frame is
-      pushed, when ``threads`` is 1 or ``os.fork`` is missing; None in
-      the contexts that criterion 9 builds by hand.
+      processes (``_split_root``, which fills the root's frame).  False
+      once that frame is pushed, when ``threads`` is 1 or ``os.fork`` is
+      missing; None in the contexts that criterion 9 builds by hand.
       The slot keeps its place, fifth, because criterion 9 passes it
       positionally.
     * ``deadline``: the ``time.monotonic()`` past which the search raises
@@ -330,35 +332,45 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
     one being searched.  A branch (``parts`` None) has the rows of its
     column as children and chains each satisfiable one into ``node`` as
     it returns.  A join replaces each of its components in ``parts`` by
-    its node and runs ``mk_join`` after the last.  A literal (one live
-    row, covering every live column) is tested first, for every engine:
-    a cached miss with no frame, its node goes straight to its parent.
-    Each state calls ``_check_deadline``, not an inlined test, so that
-    tests can replace it to stop a worker or the parent at a chosen
-    state; dyndxd's ``dec_update`` and ``inc_update`` call it too,
-    before each cut and link of their batch.  ``undo`` is dxz's
+    its node and runs ``mk_join`` after the last.  ``undo`` is dxz's
     ``ColumnCounts`` log, or the rows and edges that dyndxd's row choice
     removed from ``ctx.cs``; the components of a join are searched
-    against the same set, and each leaves it as it found it.  A root
-    (no ``via`` and not ``joined``) holds every row: dxd and dyndxd take
-    its parts from one ``MaskTables.root_parts`` fill over the column
-    graph, which gives None for a column without rows, and the root is
-    then BOTTOM.  A state reached by a row runs dxd's flood fill or
-    dyndxd's batch and ``find_cc`` walk.  A join's component is
-    connected by construction, so its state runs no component search.
-    A state reached by row ``via`` is a dead end when a live column has
-    no live row.  It is found by the memo's two columns for ``via``,
-    tested before the cache, or else by the chosen column, which then
-    takes the memo's first slot.  A dead end pushes no frame and leaves
-    no cache entry: BOTTOM goes straight to its parent, after a dxz
-    child entered on the counts has left them again.  It runs no
-    component search, sets no popcount subtree and counts in
-    ``stats.dead``, not in ``stats.cache_misses``.
-    A dxz state whose row ``via`` reaches every live column is not
-    entered on the counts: it and its subtree branch on popcounts, with
-    ``undo`` None, until its frame is popped.
-    While ``ctx.pool`` is set, the first frame, the root's, may split
-    over worker processes (``_split_root``)."""
+    against the same set, and each leaves it as it found it.  Each state
+    calls ``_check_deadline``, not an inlined test, so that tests can
+    replace it to stop a worker or the parent at a chosen state;
+    dyndxd's ``dec_update`` and ``inc_update`` call it too, before each
+    cut and link of their batch.
+
+    A state is entered in one pass.  TOP, a dead end that the memo's two
+    columns for ``via`` find (tested before the cache, which could only
+    miss) and a cache hit give their node straight to the parent.  Else:
+
+    1. Literal: one live row that covers every live column, in every
+       engine, is a cached miss with no frame.
+    2. Column: dxz on its counts enters them (a state reached by a row)
+       and selects from them; a state reached by a row, or a join's
+       component, takes ``select_column``.  A dxd or dyndxd root (no
+       ``via`` and not ``joined``) holds every row: it takes its parts
+       from one ``MaskTables.root_parts`` fill over the column graph,
+       then ``select_column`` when it has one part.  ``root_parts``
+       gives None for a column without rows, and the root is BOTTOM.
+    3. Dead end: a state reached by row ``via`` whose column has no live
+       row.  Its one exit leaves the counts if the state entered them,
+       puts the column first in the memo of ``via`` and counts in
+       ``stats.dead``, not ``stats.cache_misses``; BOTTOM goes straight
+       to the parent, with no frame, no cache entry, no component search
+       and no popcount subtree.
+    4. Split, live states only.  A dxz state whose row ``via`` reaches
+       every live column is not entered on the counts: it and its
+       subtree branch on popcounts, with ``undo`` None, until its frame
+       is popped.  A dxd or dyndxd state reached by a row runs dxd's
+       flood fill or dyndxd's batch and ``find_cc`` walk, and joins its
+       components if it has two or more.  A join's component is
+       connected by construction and runs no component search.
+    5. Frame: a miss, whose frame is pushed with BOTTOM as its chain.
+       While ``ctx.pool`` is set, the first frame, the root's, may split
+       over worker processes: ``_split_root`` fills it, and the loop's
+       pop builds and caches its node, as for every other state."""
     t = ctx.masks
     col_rows, row_cols, conflict = t.col_rows, t.row_cols, t.conflict
     last, prev = t.starver
@@ -384,85 +396,72 @@ def _mask_search(cols: int, rows: int, ctx: _Ctx, via=None,
             node = BOTTOM
         elif (node := cache.get(cols)) is not None:
             stats.cache_hits += 1
+        elif (r := t.single_full_row(cols, rows)) is not None:
+            stats.cache_misses += 1     # a literal: a miss with no frame
+            node = cache[cols] = store.mk_literal(r)
         else:
-            node = BOTTOM
+            # the column step: todo is the rows of the chosen column c
             undo = parts = None
             todo = 0
-            dead = False
-            if (r := t.single_full_row(cols, rows)) is not None:
-                node = store.mk_literal(r)
-            elif counts is not None and uncounted < 0 and (
+            if counts is not None and uncounted < 0 and (
                     via is None or (near := reach(via)) & cols != cols):
                 if via is not None:
                     undo = counts.enter(near, cols, rows)
-                c = counts.select(cols)
-                todo = col_rows[c] & rows
-                if not todo and via is not None:
-                    counts.leave(undo)      # a dead child is left at once
-                    dead = True
+                todo = col_rows[c := counts.select(cols)] & rows
+            elif via is not None or joined:
+                todo = col_rows[c := t.select_column(cols, rows)] & rows
             else:
-                comps = ()
-                if via is not None:
-                    c = t.select_column(cols, rows)
-                    todo = col_rows[c] & rows
-                    dead = not todo
-                if dead:
-                    pass        # no component search, nothing to undo
-                elif counts is not None:
-                    # dxz at or below a state whose row can change every
-                    # live count: a branch on popcounts, entering nothing,
-                    # until that state's frame is popped
-                    if uncounted < 0:
-                        uncounted = len(stack)
-                elif joined:
-                    # a join's component is connected already
+                # a dxd or dyndxd root holds every row: its parts come from
+                # one fill over the column graph; None (a column of no
+                # row) leaves todo empty, and the root BOTTOM
+                parts = t.root_parts(cols, rows)
+                if parts is not None and len(parts) < 2:
+                    parts = None
                     todo = col_rows[t.select_column(cols, rows)] & rows
-                elif via is None:
-                    # a root holds every row: its parts come from one fill
-                    # over the column graph; None (a column of no row)
-                    # leaves todo empty, and the root BOTTOM
-                    parts = t.root_parts(cols, rows)
-                    if parts is not None and len(parts) < 2:
-                        parts = None
-                        todo = col_rows[t.select_column(cols, rows)] & rows
-                elif cs is None:
-                    comps = t.components(rows)
-                else:
-                    gone = [r for r in _bits(conflict[via]) if r in cs]
-                    undo = gone, _removed_edges(gone, conflict, cs)
-                    cs.dec_update(*undo, check)
-                    comps = []
-                    left = rows
-                    while left:
-                        r = (left & -left).bit_length() - 1
-                        m = sum(1 << s for s in cs.find_cc(r).vertices)
-                        if m & ~left:
-                            raise AssertionError(
-                                "component structure out of sync with search")
-                        comps.append(m)
-                        left ^= m
-                if len(comps) >= 2:
-                    parts = [(t.columns_of(m), m) for m in comps]
-                if parts is not None:
-                    stats.subs += len(parts)
-                    todo = (1 << len(parts)) - 1
-            if dead:
-                # BOTTOM for the parent, with no frame and no cache entry;
-                # c goes first in via's memo
+            if via is not None and not todo:
+                # a dead end: BOTTOM for the parent, with no frame and no
+                # cache entry; c goes first in via's memo
+                if undo is not None:
+                    counts.leave(undo)
                 prev[via] = last[via]
                 last[via] = c
                 stats.dead += 1
-            elif node != BOTTOM:        # a literal: a miss with no frame
-                stats.cache_misses += 1
-                cache[cols] = node
+                node = BOTTOM
             else:
+                # the split step, for live states only
+                if counts is not None:
+                    # dxz at or below a state whose row can change every
+                    # live count: a branch on popcounts, entering nothing,
+                    # until that state's frame is popped
+                    if uncounted < 0 and undo is None and via is not None:
+                        uncounted = len(stack)
+                elif via is not None:
+                    if cs is None:
+                        comps = t.components(rows)
+                    else:
+                        gone = [r for r in _bits(conflict[via]) if r in cs]
+                        undo = gone, _removed_edges(gone, conflict, cs)
+                        cs.dec_update(*undo, check)
+                        comps = []
+                        left = rows
+                        while left:
+                            r = (left & -left).bit_length() - 1
+                            m = sum(1 << s for s in cs.find_cc(r).vertices)
+                            if m & ~left:
+                                raise AssertionError("component structure"
+                                                     " out of sync with search")
+                            comps.append(m)
+                            left ^= m
+                    if len(comps) >= 2:
+                        parts = [(t.columns_of(m), m) for m in comps]
+                if parts is not None:
+                    stats.subs += len(parts)
+                    todo = (1 << len(parts)) - 1
                 stats.cache_misses += 1
-                stack.append([cols, rows, undo, todo, -1, node, parts])
+                stack.append([cols, rows, undo, todo, -1, BOTTOM, parts])
                 if split:
                     ctx.pool = split = False    # only the root's may split
-                    node = _split_root(stack[0], ctx)
-                    if node is not None:
-                        return node
+                    _split_root(stack[0], ctx)
                 node = None
         # give node to its parent frame, and pop each frame that is done,
         # until one has a child left to search
@@ -522,12 +521,14 @@ def _usable_cpus():
 
 def _split_root(frame, ctx: _Ctx):
     """Search the children of the root's ``frame`` over forked worker
-    processes and return the root's node, built as the loop builds it;
-    or return None, leaving the frame to the loop, when fewer than two
-    children hold ``_SPAWN_ROWS`` live rows.  Those children are
-    dealt round-robin to this process and the workers; this process
-    also keeps the others.  Every worker is reaped before this returns,
-    and killed first if it leaves by an exception."""
+    processes and fill the frame with their nodes, as the loop would: a
+    join's go into its ``parts``, a branch's are chained in ascending
+    row order, and ``todo`` is left empty, so that the loop's pop builds
+    and caches the root's node.  The frame is left to the loop untouched
+    when fewer than two children hold ``_SPAWN_ROWS`` live rows.  Those
+    children are dealt round-robin to this process and the workers;
+    this process also keeps the others.  Every worker is reaped before
+    this returns, and killed first if it leaves by an exception."""
     cols, rows, _, todo, _, _, parts = frame
     t = ctx.masks
     if parts is not None:       # a join searches all its components
@@ -541,7 +542,7 @@ def _split_root(frame, ctx: _Ctx):
     big = [k for k in kids if k[2].bit_count() >= _SPAWN_ROWS]
     n = _worker_count(ctx.cfg.threads, len(big), _usable_cpus())
     if n < 1:
-        return None
+        return
     shares = [big[w::n + 1] for w in range(1, n + 1)]
     dealt = {k[0] for share in shares for k in share}
     store, stats = ctx.store, ctx.stats
@@ -591,13 +592,12 @@ def _split_root(frame, ctx: _Ctx):
             if fd is not None:
                 os.close(fd)
             os.waitpid(pid, 0)
-    if parts is not None:
-        node = store.mk_join([nodes[i] for i in range(len(parts))])
-    else:
-        node = BOTTOM
-        for i in sorted(nodes):
-            node = store.mk_decision(i, nodes[i], node)
-    return node
+    for i in sorted(nodes):
+        if parts is not None:
+            parts[i] = nodes[i]
+        else:
+            frame[5] = store.mk_decision(i, nodes[i], frame[5])
+    frame[3] = 0
 
 
 _PR_SET_PDEATHSIG = 1
@@ -666,7 +666,12 @@ def solve(inst, config: SolveConfig | None = None) -> SolveReport:
         raise ValueError(f"unknown engine {cfg.engine!r}")
     if not isinstance(cfg.threads, int) or cfg.threads < 1:
         raise ValueError("threads must be an integer >= 1")
-    if cfg.timeout_s is not None and not cfg.timeout_s >= 0:   # NaN too
+    try:        # NaN fails >= 0; an int too large for a float overflows
+        valid = cfg.timeout_s is None or isinstance(
+            cfg.timeout_s, (int, float)) and float(cfg.timeout_s) >= 0
+    except OverflowError:
+        valid = False
+    if not valid:
         raise ValueError("timeout_s must be a number >= 0")
     t0 = time.perf_counter()
     deadline = (None if cfg.timeout_s is None

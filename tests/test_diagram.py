@@ -745,6 +745,8 @@ def test_dump_terminal_only():
     "5 L 4",            # an id defined twice
     "2 D 3 5 0",        # a variable in its own branch
     "2 X 5 5",          # children that share a variable
+    "2 L 99999999999999999999",     # a variable too large for a mask
+    "2 D 99999999999999999999 1 0",
 ])
 def test_load_dump_names_a_malformed_line(line):
     with pytest.raises(ValueError, match=re.escape(repr(line))):

@@ -198,7 +198,7 @@ def test_zero_timeout_raises(demo, engine):
     # timeout_s=0 is a deadline that has already passed, not "no deadline"
     with pytest.raises(SolveTimeout):
         run(demo, engine, timeout_s=0)
-    for timeout_s in (-1, float("nan")):
+    for timeout_s in (-1, float("nan"), "5", 10**400):
         with pytest.raises(ValueError):
             run(demo, engine, timeout_s=timeout_s)
 
